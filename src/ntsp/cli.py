@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 solved (including a "none" answer), 1 usage problems,
-2 unreadable or invalid input, 3 answer rejected by --check.
+2 unreadable or invalid input, 3 answer rejected by --check, 4 an internal
+solver error (a bug, reported in one line).
 """
 from __future__ import annotations
 
@@ -104,6 +105,9 @@ def _cmd_solve(args) -> int:
     except GraphError as exc:
         print(f"ntsp: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"ntsp: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     if args.check:
         complaint = _check_result(g, args.source, args.target, res)
         if complaint is not None:

@@ -15,8 +15,12 @@ from __future__ import annotations
 
 from .graph import Graph
 from .spdag import SpDag
-from .sssp import DistLabels, tree_path
-from .zigzag import RealizationExhausted, climb_path, disjoint_st_pair
+from .sssp import DistLabels, bfs_path, tree_path
+from .zigzag import disjoint_st_pair, strict_join
+
+
+class RealizationExhausted(RuntimeError):
+    """No crossing at the best score expanded into a path; an internal bug."""
 
 
 def anchor_array(g: Graph, spdag: SpDag, parent: list[int]) -> list[int]:
@@ -85,47 +89,11 @@ def _tight_descent(
     g: Graph, labels: DistLabels, start: int, banned: set[int]
 ) -> list[int] | None:
     """Fewest-hop walk start to t along edges that spend to_t exactly."""
-    if start == labels.target:
-        return [start]
-    prev = {start: start}
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        a = queue[qi]
-        qi += 1
-        for nb, w, _ in g.adj[a]:
-            if nb in prev or nb in banned:
-                continue
-            if labels.to_t[a] != w + labels.to_t[nb]:
-                continue
-            prev[nb] = a
-            if nb == labels.target:
-                path = [nb]
-                while path[-1] != start:
-                    path.append(prev[path[-1]])
-                path.reverse()
-                return path
-            queue.append(nb)
-    return None
-
-
-def _join(*segments: list[int]) -> list[int] | None:
-    out: list[int] = []
-    seen: set[int] = set()
-    for seg in segments:
-        if not seg:
-            return None
-        start = 0
-        if out:
-            if out[-1] != seg[0]:
-                return None
-            start = 1
-        for v in seg[start:]:
-            if v in seen:
-                return None
-            out.append(v)
-            seen.add(v)
-    return out
+    to_t = labels.to_t
+    return bfs_path(
+        start, labels.target,
+        lambda a: (nb for nb, w, _ in g.adj[a] if nb not in banned and to_t[a] == w + to_t[nb]),
+    )
 
 
 def _realize_crossing(
@@ -142,9 +110,8 @@ def _realize_crossing(
 
     Tried in order: the tree walk to x with a tight descent dodging it; the
     disjoint climb pair through both anchors joined by the two tree stems;
-    the tree walk plus the far stem; splicing the unconstrained tight walk
-    at its last crossing.  Each product is length-checked, so a miss just
-    falls through.
+    the tree walk to y with a tight descent from x dodging it.  Each product
+    is length-checked, so a miss just falls through.
     """
     s = labels.source
     p_x = tree_path(parent, s, x)
@@ -168,17 +135,12 @@ def _realize_crossing(
     if pair is not None:
         p1, p2, swapped = pair
         if not swapped:
-            cand = _join(p1, stem_x, [x, y], stem_y[::-1], p2)
+            cand = strict_join(p1, stem_x, [x, y], stem_y[::-1], p2)
             if _accept(g, labels, cand, goal):
                 return cand
 
-    # tree walk to x, then leave through y's stem and anchor
-    cand = _join(p_x, [x, y], stem_y[::-1], climb_path(spdag, r_y, labels.target) or [])
-    if _accept(g, labels, cand, goal):
-        return cand
-
-    # same shapes with the crossing walked y to x; the length check keeps
-    # them only when the reverse direction costs the same
+    # the direct shape with the crossing walked y to x; the length check
+    # keeps it only when the reverse direction costs the same
     p_y = tree_path(parent, s, y)
     if x not in set(p_y):
         desc = _tight_descent(g, labels, x, set(p_y))
@@ -186,22 +148,6 @@ def _realize_crossing(
             cand = p_y + desc
             if _accept(g, labels, cand, goal):
                 return cand
-    cand = _join(p_y, [y, x], stem_x[::-1], climb_path(spdag, r_x, labels.target) or [])
-    if _accept(g, labels, cand, goal):
-        return cand
-
-    # splice the unconstrained tight walk at its last touch of the tree walk
-    desc = _tight_descent(g, labels, y, set())
-    if desc is not None:
-        walk = p_x + desc
-        touch = [i for i, v in enumerate(desc) if v in p_set]
-        if touch:
-            q = desc[touch[-1]]
-            cand = p_x[: p_x.index(q) + 1] + desc[touch[-1] + 1:]
-        else:
-            cand = walk
-        if _accept(g, labels, cand, goal):
-            return cand
     return None
 
 

@@ -215,3 +215,44 @@ def oracle_zero_clusters(spdag: SpDag, idom_s: list[int], idom_t: list[int]) -> 
             for v in grp:
                 assert linked(u, v), "zero-cluster relation not transitive here"
     return out
+
+
+
+def max_flow_value(net) -> int:
+    """Full max flow of a split-node FlowNetwork, unbounded rounds.
+
+    Plain breadth-first augmenting paths; the flow is left in net.
+    """
+    src = 2 * net.source
+    dst = 2 * net.sink + 1
+    nn = 2 * len(net.labels)
+    total = 0
+    while True:
+        via = [-1] * nn
+        via[src] = -2
+        queue = [src]
+        qi = 0
+        while qi < len(queue) and via[dst] == -1:
+            x = queue[qi]
+            qi += 1
+            for aid in net.adj[x]:
+                y = net.arc_to[aid]
+                if via[y] == -1 and net.arc_cap[aid] - net.arc_flow[aid] > 0:
+                    via[y] = aid
+                    queue.append(y)
+        if via[dst] == -1:
+            return total
+        bottleneck = None
+        x = dst
+        while x != src:
+            aid = via[x]
+            room = net.arc_cap[aid] - net.arc_flow[aid]
+            bottleneck = room if bottleneck is None else min(bottleneck, room)
+            x = net.arc_to[aid ^ 1]
+        x = dst
+        while x != src:
+            aid = via[x]
+            net.arc_flow[aid] += bottleneck
+            net.arc_flow[aid ^ 1] -= bottleneck
+            x = net.arc_to[aid ^ 1]
+        total += bottleneck

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .graph import Graph
@@ -86,3 +87,27 @@ def tree_path(parent: list[int], root: int, v: int) -> list[int]:
         out.append(v)
     out.reverse()
     return out
+
+
+def bfs_path(
+    start: int, goal: int, neighbours: Callable[[int], Iterable[int]]
+) -> list[int] | None:
+    """Fewest-hop path start to goal, or None.
+
+    neighbours(x) lists the allowed steps out of x; among equally short
+    paths the one found through earlier-listed steps wins, so a sorted
+    neighbour order makes the smallest ids win.
+    """
+    if start == goal:
+        return [start]
+    prev = {start: start}
+    queue = [start]
+    for x in queue:
+        for y in neighbours(x):
+            if y in prev:
+                continue
+            prev[y] = x
+            if y == goal:
+                return tree_path(prev, start, goal)
+            queue.append(y)
+    return None

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .dominators import DomTree, immediate_dominators
 from .spdag import SpDag
+from .sssp import bfs_path
 
 
 class ClusterCycleError(RuntimeError):
@@ -106,24 +107,8 @@ def zero_clusters(spdag: SpDag, ts: DomTree, tt: DomTree) -> ZeroPartition:
 def zero_path_within(partition: ZeroPartition, a: int, b: int) -> list[int]:
     """Deterministic simple path from a to b inside their shared cluster."""
     assert partition.comp[a] == partition.comp[b] != -1
-    if a == b:
-        return [a]
-    prev = {a: a}
-    queue = [a]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        if x == b:
-            break
-        for y in partition.surviving_adj[x]:
-            if y not in prev:
-                prev[y] = x
-                queue.append(y)
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    path.reverse()
+    path = bfs_path(a, b, partition.surviving_adj.__getitem__)
+    assert path is not None, "cluster members are zero-connected"
     return path
 
 

@@ -3,12 +3,14 @@
 A candidate is a pair of zero clusters (x side above, y side below) that some
 shortest s-t path could visit out of level order: climb to the x cluster,
 descend back to the y cluster along core edges, then climb to t.  Candidates
-split by how the cluster dominator trees pin them to each other; the open
-kind needs no flow test, the pinned kinds are confirmed by small unit-capacity
-flows and then turned into concrete paths.
+split by how the cluster dominator trees pin them to each other.  One walk
+takes them cheapest first; a pinned candidate must pass a small unit-capacity
+flow test, which only prunes, and any candidate counts once its realized
+path passes verify_zigzag.  That verified witness is the confirmation.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -16,7 +18,7 @@ from itertools import permutations
 from .dominators import DomTree
 from .graph import Graph
 from .spdag import SpDag
-from .sssp import DistLabels
+from .sssp import DistLabels, bfs_path
 from .zerostruct import (
     ClusterDag,
     ZeroPartition,
@@ -26,12 +28,9 @@ from .zerostruct import (
 )
 
 BIG = 10**9
+SOURCE, SINK = -1, -2  # labels of a flow network's virtual endpoints
 
 KIND_RANK = {"open": 0, "pinned_both": 1, "pinned_s": 2, "pinned_t": 3}
-
-
-class RealizationExhausted(RuntimeError):
-    """No accepted candidate could be expanded into a path; an internal bug."""
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,16 @@ class FlowNetwork:
         for a, b, cap in edges:
             net._add_arc(2 * a + 1, 2 * b, cap)
         return net
+
+    @classmethod
+    def over(cls, caps: dict[int, int], arcs: list[tuple[int, int, int]]) -> FlowNetwork:
+        """Network whose nodes are caps' labels, in insertion order.
+
+        arcs name labels; caps must hold the SOURCE and SINK markers.
+        """
+        ids = {v: i for i, v in enumerate(caps)}
+        edges = [(ids[a], ids[b], cap) for a, b, cap in arcs]
+        return cls.build(list(caps), list(caps.values()), edges, ids[SOURCE], ids[SINK])
 
 
 @dataclass
@@ -179,7 +188,7 @@ def _decompose_units(net: FlowNetwork, total: int) -> list[list[int]]:
     for _ in range(total):
         walk = [src]
         seen_at = {src: 0}
-        x = in_walk = src
+        x = src
         while x != dst:
             for aid in net.adj[x]:
                 if aid % 2 == 0 and net.arc_flow[aid] > 0:
@@ -198,7 +207,6 @@ def _decompose_units(net: FlowNetwork, total: int) -> list[list[int]]:
                 walk.append(y)
                 seen_at[y] = len(walk) - 1
             x = y
-        del in_walk
         # collapse split pairs to vertices, strip virtual endpoints
         real: list[int] = []
         for node in walk:
@@ -211,40 +219,28 @@ def _decompose_units(net: FlowNetwork, total: int) -> list[list[int]]:
     return out
 
 
-def max_flow_value(net: FlowNetwork) -> int:
-    """Full max flow, unbounded rounds.  Reference use only."""
-    src = 2 * net.source
-    dst = 2 * net.sink + 1
-    nn = 2 * len(net.labels)
-    total = 0
-    while True:
-        via = [-1] * nn
-        via[src] = -2
-        queue = [src]
-        qi = 0
-        while qi < len(queue) and via[dst] == -1:
-            x = queue[qi]
-            qi += 1
-            for aid in net.adj[x]:
-                y = net.arc_to[aid]
-                if via[y] == -1 and net.arc_cap[aid] - net.arc_flow[aid] > 0:
-                    via[y] = aid
-                    queue.append(y)
-        if via[dst] == -1:
-            return total
-        bottleneck = BIG
-        x = dst
-        while x != src:
-            aid = via[x]
-            bottleneck = min(bottleneck, net.arc_cap[aid] - net.arc_flow[aid])
-            x = net.arc_to[aid ^ 1]
-        x = dst
-        while x != src:
-            aid = via[x]
-            net.arc_flow[aid] += bottleneck
-            net.arc_flow[aid ^ 1] -= bottleneck
-            x = net.arc_to[aid ^ 1]
-        total += bottleneck
+def endpoint_net(
+    nodes: list[int],
+    succ: Callable[[int], Iterable[int]],
+    sources: list[tuple[int, int]],
+    sinks: list[tuple[int, int]],
+) -> FlowNetwork:
+    """Unit-capacity network over nodes along succ, between virtual endpoints.
+
+    sources/sinks are (node, capacity) pairs hung off the endpoints; such a
+    node's own capacity rises to match.
+    """
+    caps = {SOURCE: BIG, SINK: BIG}
+    for v in nodes:
+        caps[v] = 1
+    arcs = [(v, b, BIG) for v in nodes for b in succ(v) if b in caps]
+    for v, cap in sources:
+        caps[v] = max(caps[v], cap)
+        arcs.append((SOURCE, v, cap))
+    for v, cap in sinks:
+        caps[v] = max(caps[v], cap)
+        arcs.append((v, SINK, cap))
+    return FlowNetwork.over(caps, arcs)
 
 
 def vertex_flow_net(
@@ -252,87 +248,15 @@ def vertex_flow_net(
     sources: list[tuple[int, int]],
     sinks: list[tuple[int, int]],
     banned: set[int] = frozenset(),
-    cap_override: dict[int, int] | None = None,
     descending: bool = False,
 ) -> FlowNetwork:
-    """Unit-capacity network over core vertices following the monotone arcs.
+    """endpoint_net over the core vertices following the monotone arcs.
 
-    sources/sinks are (vertex, capacity) pairs hung off virtual endpoints.
-    cap_override adjusts individual vertex capacities from the default 1.
     descending walks the arcs in reverse (toward s instead of toward t).
     """
-    ids: dict[int, int] = {}
-    labels: list[int] = []
-    caps: list[int] = []
-
-    def node(v: int, cap: int) -> int:
-        if v not in ids:
-            ids[v] = len(labels)
-            labels.append(v)
-            caps.append(cap)
-        return ids[v]
-
-    src = node(-1, BIG)
-    dst = node(-2, BIG)
-    override = cap_override or {}
-    for v in range(spdag.n):
-        if spdag.in_core[v] and v not in banned:
-            node(v, override.get(v, 1))
-    edges: list[tuple[int, int, int]] = []
     adj = spdag.pred_all if descending else spdag.succ_all
-    for v in range(spdag.n):
-        if not spdag.in_core[v] or v in banned:
-            continue
-        for nb, _ in adj[v]:
-            if spdag.in_core[nb] and nb not in banned:
-                edges.append((ids[v], ids[nb], BIG))
-    for v, cap in sources:
-        caps[ids[v]] = max(caps[ids[v]], cap)
-        edges.append((src, ids[v], cap))
-    for v, cap in sinks:
-        caps[ids[v]] = max(caps[ids[v]], cap)
-        edges.append((ids[v], dst, cap))
-    return FlowNetwork.build(labels, caps, edges, src, dst)
-
-
-def cluster_flow_net(
-    dag: ClusterDag,
-    sources: list[tuple[int, int]],
-    sinks: list[tuple[int, int]],
-    banned: set[int] = frozenset(),
-    cap_override: dict[int, int] | None = None,
-) -> FlowNetwork:
-    ids: dict[int, int] = {}
-    labels: list[int] = []
-    caps: list[int] = []
-
-    def node(v: int, cap: int) -> int:
-        if v not in ids:
-            ids[v] = len(labels)
-            labels.append(v)
-            caps.append(cap)
-        return ids[v]
-
-    src = node(-1, BIG)
-    dst = node(-2, BIG)
-    override = cap_override or {}
-    for c in range(dag.count):
-        if c not in banned:
-            node(c, override.get(c, 1))
-    edges: list[tuple[int, int, int]] = []
-    for c in range(dag.count):
-        if c in banned:
-            continue
-        for b, _, _, _ in dag.succ[c]:
-            if b not in banned:
-                edges.append((ids[c], ids[b], BIG))
-    for v, cap in sources:
-        caps[ids[v]] = max(caps[ids[v]], cap)
-        edges.append((src, ids[v], cap))
-    for v, cap in sinks:
-        caps[ids[v]] = max(caps[ids[v]], cap)
-        edges.append((ids[v], dst, cap))
-    return FlowNetwork.build(labels, caps, edges, src, dst)
+    nodes = [v for v in range(spdag.n) if spdag.in_core[v] and v not in banned]
+    return endpoint_net(nodes, lambda v: (nb for nb, _ in adj[v]), sources, sinks)
 
 
 # ---------------------------------------------------------------------------
@@ -343,50 +267,17 @@ def climb_path(
     spdag: SpDag, start: int, goal: int, banned: set[int] = frozenset(), descending: bool = False
 ) -> list[int] | None:
     """Fewest-hop monotone path start to goal, smallest ids first, or None."""
-    if start == goal:
-        return [start]
     adj = spdag.pred_all if descending else spdag.succ_all
-    prev = {start: start}
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for nb, _ in adj[x]:
-            if nb not in prev and nb not in banned and spdag.in_core[nb]:
-                prev[nb] = x
-                if nb == goal:
-                    path = [goal]
-                    while path[-1] != start:
-                        path.append(prev[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(nb)
-    return None
+    return bfs_path(
+        start, goal,
+        lambda x: (nb for nb, _ in adj[x] if nb not in banned and spdag.in_core[nb]),
+    )
 
 
 def cluster_route(
     dag: ClusterDag, start: int, goal: int, banned: set[int] = frozenset()
 ) -> list[int] | None:
-    if start == goal:
-        return [start]
-    prev = {start: start}
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for b, _, _, _ in dag.succ[x]:
-            if b not in prev and b not in banned:
-                prev[b] = x
-                if b == goal:
-                    path = [goal]
-                    while path[-1] != start:
-                        path.append(prev[path[-1]])
-                    path.reverse()
-                    return path
-                queue.append(b)
-    return None
+    return bfs_path(start, goal, lambda c: (b for b, _, _, _ in dag.succ[c] if b not in banned))
 
 
 def _arc_witness(dag: ClusterDag, a: int, b: int) -> tuple[int, int]:
@@ -531,8 +422,8 @@ class CandidateNetwork:
 
     Narrow interior corridors (components touching exactly one vertex on each
     side) are replaced by unit arcs; conduits maps such an arc back to the
-    concrete corridor path.  h_succ retains the uncontracted span for repair
-    searches, and h_edges its directed edge set.
+    concrete corridor path.  h_succ retains the uncontracted span for direct
+    cluster-to-cluster walks, and h_edges its directed edge set.
     """
 
     net: FlowNetwork
@@ -608,64 +499,27 @@ def build_candidate_network(ctx: CoreContext, cand: BackwardCandidate) -> Candid
 
     y_cap = 1 if cand.kind == "pinned_s" else 2
     x_cap = 1 if cand.kind == "pinned_t" else 2
-    ids: dict[int, int] = {}
-    labels: list[int] = []
-    caps: list[int] = []
-
-    def node(v: int, cap: int) -> int:
-        if v not in ids:
-            ids[v] = len(labels)
-            labels.append(v)
-            caps.append(cap)
-        return ids[v]
-
-    src = node(-1, BIG)
-    dst = node(-2, BIG)
+    caps = {SOURCE: BIG, SINK: BIG}
     for v in sorted(zy):
-        node(v, y_cap)
+        caps[v] = y_cap
     for v in sorted(zx):
-        node(v, x_cap)
+        caps[v] = x_cap
     for v in interior:
         if comp_of[v] not in replaced:
-            node(v, 1)
-    edges: list[tuple[int, int, int]] = []
-    for v in sorted(ids):
-        if v < 0:
-            continue
-        for b in h_succ[v]:
-            if b in ids:
-                edges.append((ids[v], ids[b], BIG))
-    for (vy, ux), _ in sorted(conduits.items()):
-        edges.append((ids[vy], ids[ux], 1))
-    for v in sorted(zy):
-        edges.append((src, ids[v], BIG))
-    for v in sorted(zx):
-        edges.append((ids[v], dst, BIG))
-    net = FlowNetwork.build(labels, caps, edges, src, dst)
+            caps[v] = 1
+    arcs = [(v, b, BIG) for v in sorted(caps) if v >= 0 for b in h_succ[v] if b in caps]
+    arcs += [(vy, ux, 1) for vy, ux in sorted(conduits)]
+    arcs += [(SOURCE, v, BIG) for v in sorted(zy)]
+    arcs += [(v, SINK, BIG) for v in sorted(zx)]
+    net = FlowNetwork.over(caps, arcs)
     return CandidateNetwork(net=net, zy=zy, zx=zx, conduits=conduits, h_succ=h_succ, h_edges=h_edges)
 
 
 def _directed_through(
     h_succ: dict[int, list[int]], allowed: set[int], start: int, goal: int
 ) -> list[int] | None:
-    prev = {start: start}
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for y in h_succ[x]:
-            if y == goal:
-                prev[y] = x
-                path = [goal]
-                while path[-1] != start:
-                    path.append(prev[path[-1]])
-                path.reverse()
-                return path
-            if y in allowed and y not in prev:
-                prev[y] = x
-                queue.append(y)
-    return None
+    """Fewest-hop directed walk start to goal with its inner vertices in allowed."""
+    return bfs_path(start, goal, lambda x: (y for y in h_succ[x] if y == goal or y in allowed))
 
 
 def candidate_flow_quota(cand: BackwardCandidate) -> int:
@@ -731,52 +585,39 @@ def pinned_candidate_pairs(ctx: CoreContext) -> list[BackwardCandidate]:
             continue  # mutual pins were collected above
         if not dag.idom_s.dominates(cy, cx):
             out.append(BackwardCandidate("pinned_t", cx, cy, delta))
-    out.sort(key=lambda c: (c.delta, KIND_RANK[c.kind], c.comp_x, c.comp_y))
+    out.sort(key=_walk_key)
     return out
 
 
-def best_backward_pair(
-    ctx: CoreContext,
-) -> tuple[int | None, list[tuple[BackwardCandidate, CandidateNetwork | None, FlowOutcome | None]]]:
-    """Smallest confirmed drop plus every candidate achieving it, in try order.
+def _walk_key(cand: BackwardCandidate) -> tuple[int, int, int, int]:
+    return cand.delta, KIND_RANK[cand.kind], cand.comp_x, cand.comp_y
 
-    Pinned candidates are scanned cheapest first and flow-tested only while
-    they could still beat the incumbent; the first confirmation settles the
-    optimum, after which the ties are gathered for the realization fallback
-    chain.  Open candidates need no confirmation.
+
+def best_backward_pair(ctx: CoreContext) -> tuple[BackwardCandidate, list[int]] | None:
+    """Cheapest candidate with a verified witness path, and that path.
+
+    The best open pair and the pinned pairs are walked in (delta, kind,
+    comp_x, comp_y) order.  A pinned candidate is realized only once its
+    flow test passes; the first realized path that verify_zigzag accepts
+    wins, so a candidate that passes its flow test without expanding just
+    gives way to the next one.
     """
+    cands = pinned_candidate_pairs(ctx)
     open_best = best_open_pair(ctx)
-    incumbent = open_best.delta if open_best else None
-    pinned = pinned_candidate_pairs(ctx)
-    confirmed: dict[tuple[int, int, str], tuple[CandidateNetwork, FlowOutcome]] = {}
-    for cand in pinned:
-        if incumbent is not None and cand.delta >= incumbent:
-            break
-        cn = build_candidate_network(ctx, cand)
-        res = max_flow_at_least(cn.net, candidate_flow_quota(cand))
-        if res.ok:
-            incumbent = cand.delta
-            confirmed[(cand.comp_x, cand.comp_y, cand.kind)] = (cn, res)
-            break
-    if incumbent is None:
-        return None, []
-    finalists: list[tuple[BackwardCandidate, CandidateNetwork | None, FlowOutcome | None]] = []
-    if open_best is not None and open_best.delta == incumbent:
-        finalists.append((open_best, None, None))
-    for cand in pinned:
-        if cand.delta != incumbent:
-            continue
-        key = (cand.comp_x, cand.comp_y, cand.kind)
-        if key in confirmed:
-            cn, res = confirmed[key]
+    if open_best is not None:
+        cands = sorted(cands + [open_best], key=_walk_key)
+    for cand in cands:
+        if cand.kind == "open":
+            path = _realize_open(ctx, cand)
         else:
             cn = build_candidate_network(ctx, cand)
             res = max_flow_at_least(cn.net, candidate_flow_quota(cand))
             if not res.ok:
                 continue
-        finalists.append((cand, cn, res))
-    finalists.sort(key=lambda item: (KIND_RANK[item[0].kind], item[0].comp_x, item[0].comp_y))
-    return incumbent, finalists
+            path = _realize_pinned(ctx, cand, cn, res)
+        if path is not None and verify_zigzag(ctx.spdag, path, cand.delta):
+            return cand, path
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +686,6 @@ def _three_links_worker(
         return None
     main_a = forward_join(trunk, unit_a)
     main_b = forward_join(trunk, unit_b)
-    if main_a is None or main_b is None:
-        return None
     if wc == wb:
         return "A", main_a, [wb]
     seen_a = set(unit_a)
@@ -856,8 +695,6 @@ def _three_links_worker(
     if wc in seen_b:
         return "A", main_a, unit_b[unit_b.index(wc):]
     z = zero_path_within(partition, wb, wc)
-    if z is None:
-        return None
     hits = [i for i, v in enumerate(z) if v in seen_a or v in seen_b]
     if not hits:
         return "A", main_a, z[::-1]
@@ -898,8 +735,12 @@ def _realize_open(ctx: CoreContext, cand: BackwardCandidate) -> list[int] | None
     for i in reversed(picks):
         v = route[i]
         tail = route[i:]
-        net = cluster_flow_net(
-            dag, [(dag.source_comp, 1), (v, 1)], [(cx, 2)], banned=set(tail[1:])
+        banned = set(tail[1:])
+        net = endpoint_net(
+            [c for c in range(dag.count) if c not in banned],
+            lambda c: (b for b, _, _, _ in dag.succ[c]),
+            [(dag.source_comp, 1), (v, 1)],
+            [(cx, 2)],
         )
         res = max_flow_at_least(net, 2)
         if not res.ok:
@@ -917,7 +758,7 @@ def _realize_open(ctx: CoreContext, cand: BackwardCandidate) -> list[int] | None
             + [True] * (len(tail) - 1)
         )
         path = expand_comp_walk(partition, dag, comps, dirs, spdag.source, spdag.target)
-        if path is not None and verify_zigzag(spdag, path, cand.delta):
+        if verify_zigzag(spdag, path, cand.delta):
             return path
     return None
 
@@ -932,7 +773,8 @@ def _realize_pinned_both(
         if u not in pool:
             pool.append(u)
     # wide augmenting rounds can hand back the same walk twice and starve a
-    # slot; direct cluster-to-cluster walks refill the pool with fresh ones
+    # slot; direct cluster-to-cluster walks refill the pool with fresh ones,
+    # up to 8 walks so that the trio permutations stay bounded
     interiors = {v for v in cn.h_succ if v not in cn.zy and v not in cn.zx}
     for y in sorted(cn.zy):
         for x in sorted(cn.zx):
@@ -941,18 +783,11 @@ def _realize_pinned_both(
             walk = _directed_through(cn.h_succ, interiors, y, x)
             if walk is not None and walk not in pool:
                 pool.append(walk)
-    for trio in _unit_trios(ctx, cn, pool):
+    for trio in permutations(pool, 3):
         path = _assemble_pinned_both(ctx, cand, trio)
         if path is not None:
             return path
     return None
-
-
-def _unit_trios(ctx, cn, units):
-    for a, b, c in permutations(range(len(units)), 3):
-        yield units[a], units[b], units[c]
-    yield from _repaired_trios(ctx, cn, units, flip=False)
-    yield from _repaired_trios(ctx, cn, units, flip=True)
 
 
 def _assemble_pinned_both(
@@ -995,111 +830,6 @@ def _assemble_pinned_both(
     return None
 
 
-def _h_pred(cn: CandidateNetwork) -> dict[int, list[int]]:
-    pred: dict[int, list[int]] = {v: [] for v in cn.h_succ}
-    for a in cn.h_succ:
-        for b in cn.h_succ[a]:
-            pred[b].append(a)
-    for v in pred:
-        pred[v].sort()
-    return pred
-
-
-def _repaired_trios(ctx, cn, units, flip):
-    """Trios obtained by rerouting one of two endpoint-duplicate unit paths.
-
-    When the flow hands back two units with the same endpoint pair, the span
-    component carrying them has a spare terminal; a directed walk Q from that
-    terminal down to the shared far endpoint crosses one of the pair first,
-    and grafting Q onto its tail yields a path with a fresh near endpoint.
-    If Q brushes the third path, the graft is only sound when its last such
-    touch is the third path's own start, rerouting from there instead.
-    flip mirrors the whole search to duplicates on the x side.
-    """
-    if flip:
-        paths = [u[::-1] for u in units]
-        start_side = cn.zx
-        succ = _h_pred(cn)
-    else:
-        paths = [list(u) for u in units]
-        start_side = cn.zy
-        succ = cn.h_succ
-    zall = cn.zy | cn.zx
-    und: dict[int, set[int]] = {v: set() for v in cn.h_succ}
-    for a in cn.h_succ:
-        for b in cn.h_succ[a]:
-            und[a].add(b)
-            und[b].add(a)
-    for i in range(len(paths)):
-        for j in range(i + 1, len(paths)):
-            if paths[i][0] != paths[j][0] or paths[i][-1] != paths[j][-1]:
-                continue
-            y_s, x_s = paths[i][0], paths[i][-1]
-            seeds = [v for v in paths[i][1:-1] + paths[j][1:-1] if v not in zall]
-            if not seeds:
-                continue
-            comp: set[int] = set()
-            stack = list(seeds)
-            while stack:
-                v = stack.pop()
-                if v in comp:
-                    continue
-                comp.add(v)
-                for w in und[v]:
-                    if w not in zall and w not in comp:
-                        stack.append(w)
-            terms = sorted(
-                z for z in start_side if z != y_s and und[z] & comp
-            )
-            pa_set, pb_set = set(paths[i]), set(paths[j])
-            for fresh in terms:
-                q_walk = _directed_through(succ, comp, fresh, x_s)
-                if q_walk is None:
-                    continue
-                k = next(
-                    (idx for idx in range(1, len(q_walk)) if q_walk[idx] in pa_set or q_walk[idx] in pb_set),
-                    None,
-                )
-                if k is None:
-                    continue
-                q = q_walk[k]
-                hit_i = i if q in pa_set else j
-                hit = paths[hit_i]
-                other = paths[j if hit_i == i else i]
-                graft = hit[hit.index(q) + 1:]
-                for t_i in range(len(paths)):
-                    if t_i in (i, j):
-                        continue
-                    third = paths[t_i]
-                    tset = set(third)
-                    pre = [idx for idx in range(k) if q_walk[idx] in tset]
-                    if not pre:
-                        repaired = q_walk[: k + 1] + graft
-                    elif q_walk[pre[-1]] == third[0]:
-                        repaired = q_walk[pre[-1]: k + 1] + graft
-                    else:
-                        continue
-                    base = [other, repaired, third]
-                    if flip:
-                        base = [p[::-1] for p in base]
-                    for a, b, c in permutations(range(3)):
-                        yield base[a], base[b], base[c]
-
-
-def _cluster_routes(dag: ClusterDag, start: int, goal: int, banned: set[int], limit: int = 3):
-    routes: list[list[int]] = []
-    extra: set[int] = set()
-    while len(routes) < limit:
-        route = cluster_route(dag, start, goal, banned=banned | extra)
-        if route is None or any(route == r for r in routes):
-            break
-        routes.append(route)
-        if len(route) < 2:
-            break
-        extra.add(route[1])
-    return routes
-
-
 def _realize_pinned_s(
     ctx: CoreContext, cand: BackwardCandidate, cn: CandidateNetwork, res: FlowOutcome
 ) -> list[int] | None:
@@ -1113,55 +843,37 @@ def _realize_pinned_s(
     spdag, partition, dag = ctx.spdag, ctx.partition, ctx.dag
     cx, cy = cand.comp_x, cand.comp_y
     level_y = dag.comp_level[cy]
-    units = _expand_conduit_units(cn, res.unit_paths)
-    units = [_trim_unit(cn, u) for u in units]
-    entries: list[int] = []
-    for u in units:
-        if u[0] not in entries:
-            entries.append(u[0])
-    rep = partition.representative(cy)
-    if rep not in entries:
-        entries.append(rep)
-    exits: list[int] = []
-    for u in units:
-        if u[-1] not in exits:
-            exits.append(u[-1])
-    low = min(cn.zx)
-    if low not in exits:
-        exits.append(low)
-    for route in _cluster_routes(dag, cy, dag.target_comp, banned={cx}):
-        for entry in entries:
-            expanded = expand_comp_walk(
-                partition, dag, route, [True] * (len(route) - 1), entry, spdag.target
-            )
-            if expanded is None:
+    units = [_trim_unit(cn, u) for u in _expand_conduit_units(cn, res.unit_paths)]
+    route = cluster_route(dag, cy, dag.target_comp, banned={cx})
+    if route is None:
+        return None
+    for entry in dict.fromkeys(u[0] for u in units):
+        expanded = expand_comp_walk(
+            partition, dag, route, [True] * (len(route) - 1), entry, spdag.target
+        )
+        # the revisit vertex is the last one of the route's level-Ly prefix
+        at = 0
+        while at + 1 < len(expanded) and spdag.level[expanded[at + 1]] == level_y:
+            at += 1
+        v = expanded[at]
+        tail = expanded[at:]
+        tail_block = set(tail) - {v}
+        for exit_v in dict.fromkeys(u[-1] for u in units):
+            if exit_v in tail:
                 continue
-            prefix_end = 0
-            while (
-                prefix_end + 1 < len(expanded)
-                and spdag.level[expanded[prefix_end + 1]] == level_y
-            ):
-                prefix_end += 1
-            v_picks = [expanded[idx] for idx in range(prefix_end, -1, -1)][:8]
-            for v in v_picks:
-                tail = expanded[expanded.index(v):]
-                tail_block = set(tail) - {v}
-                for exit_v in exits:
-                    if exit_v in tail:
-                        continue
-                    net = vertex_flow_net(
-                        spdag, [(spdag.source, 1), (v, 1)], [(exit_v, 2)], banned=tail_block
-                    )
-                    r2 = max_flow_at_least(net, 2)
-                    if not r2.ok:
-                        continue
-                    s1 = next((u for u in r2.unit_paths if u[0] == spdag.source), None)
-                    s2 = next((u for u in r2.unit_paths if u[0] == v), None)
-                    if s1 is None or s2 is None:
-                        continue
-                    path = strict_join(s1, s2[::-1], tail)
-                    if path is not None and verify_zigzag(spdag, path, cand.delta):
-                        return path
+            net = vertex_flow_net(
+                spdag, [(spdag.source, 1), (v, 1)], [(exit_v, 2)], banned=tail_block
+            )
+            r2 = max_flow_at_least(net, 2)
+            if not r2.ok:
+                continue
+            s1 = next((u for u in r2.unit_paths if u[0] == spdag.source), None)
+            s2 = next((u for u in r2.unit_paths if u[0] == v), None)
+            if s1 is None or s2 is None:
+                continue
+            path = strict_join(s1, s2[::-1], tail)
+            if path is not None and verify_zigzag(spdag, path, cand.delta):
+                return path
     return None
 
 
@@ -1231,9 +943,9 @@ def _realize_pinned_t(ctx: CoreContext, cand: BackwardCandidate) -> list[int] | 
     return path[::-1]
 
 
-def _realize(ctx, cand, cn, res) -> list[int] | None:
-    if cand.kind == "open":
-        return _realize_open(ctx, cand)
+def _realize_pinned(
+    ctx: CoreContext, cand: BackwardCandidate, cn: CandidateNetwork, res: FlowOutcome
+) -> list[int] | None:
     if cand.kind == "pinned_both":
         return _realize_pinned_both(ctx, cand, cn, res)
     if cand.kind == "pinned_s":
@@ -1243,16 +955,11 @@ def _realize(ctx, cand, cn, res) -> list[int] | None:
 
 def zigzag_shortest(ctx: CoreContext) -> tuple[int, list[int]] | None:
     """Best rise-fall-rise walk: its length and a witness path, or None."""
-    delta, finalists = best_backward_pair(ctx)
-    if delta is None:
+    found = best_backward_pair(ctx)
+    if found is None:
         return None
-    for cand, cn, res in finalists:
-        path = _realize(ctx, cand, cn, res)
-        if path is not None:
-            return ctx.labels.shortest + 2 * delta, path
-    raise RealizationExhausted(
-        f"confirmed drop {delta} between clusters but no arrangement expanded"
-    )
+    cand, path = found
+    return ctx.labels.shortest + 2 * cand.delta, path
 
 
 # ---------------------------------------------------------------------------
@@ -1260,34 +967,23 @@ def zigzag_shortest(ctx: CoreContext) -> tuple[int, list[int]] | None:
 
 
 def _mixed_lane_net(spdag: SpDag, a: int, b: int, lane: int) -> FlowNetwork:
-    core = sorted(spdag.core_vertices())
-    ids: dict[int, int] = {}
-    labels: list[int] = []
-    caps: list[int] = []
-    for v in core:
-        ids[v] = len(labels)
-        labels.append(v)
-        caps.append(1)
-    src = len(labels)
-    labels.append(-1)
-    caps.append(BIG)
-    dst = len(labels)
-    labels.append(-2)
-    caps.append(BIG)
-    edges: list[tuple[int, int, int]] = []
+    caps = {SOURCE: BIG, SINK: BIG}
+    for v in spdag.core_vertices():
+        caps[v] = 1
+    arcs: list[tuple[int, int, int]] = []
     for u, v, _ in spdag.arcs:
         if spdag.level[v] <= lane:
-            edges.append((ids[u], ids[v], BIG))
+            arcs.append((u, v, BIG))
         if spdag.level[u] >= lane:
-            edges.append((ids[v], ids[u], BIG))
+            arcs.append((v, u, BIG))
     for u, v in spdag.zero_edges:
-        edges.append((ids[u], ids[v], BIG))
-        edges.append((ids[v], ids[u], BIG))
-    edges.append((src, ids[spdag.source], 1))
-    edges.append((src, ids[spdag.target], 1))
-    edges.append((ids[a], dst, 1))
-    edges.append((ids[b], dst, 1))
-    return FlowNetwork.build(labels, caps, edges, src, dst)
+        arcs.append((u, v, BIG))
+        arcs.append((v, u, BIG))
+    arcs.append((SOURCE, spdag.source, 1))
+    arcs.append((SOURCE, spdag.target, 1))
+    arcs.append((a, SINK, 1))
+    arcs.append((b, SINK, 1))
+    return FlowNetwork.over(caps, arcs)
 
 
 def disjoint_st_pair(

@@ -5,6 +5,7 @@ import io
 
 import ntsp.cli as cli
 from graphcases import named_graph
+from ntsp.detour import RealizationExhausted
 from ntsp.graph import parse_graph, serialize_graph
 
 
@@ -89,7 +90,7 @@ def test_out_of_range_endpoint_exit_two(tmp_path, capsys):
 
 
 def test_check_passes_on_fixtures(tmp_path, capsys):
-    for name in ("tri", "out", "pent", "quad0", "tII"):
+    for name in ("tri", "out", "pent", "quad0", "tII", "phantom"):
         path, s, t = fixture_file(tmp_path, name)
         assert run(["solve", path, "-s", str(s), "-t", str(t), "--check"]) == 0
     capsys.readouterr()
@@ -100,6 +101,18 @@ def test_check_catches_wrong_answer(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "oracle_next_to_shortest", lambda g, a, b: 7)
     assert run(["solve", path, "-s", str(s), "-t", str(t), "--check"]) == 3
     assert "check failed" in capsys.readouterr().err
+
+
+def test_internal_error_exit_four(tmp_path, capsys, monkeypatch):
+    def broken(g, s, t):
+        raise RealizationExhausted("no crossing expanded")
+
+    path, s, t = fixture_file(tmp_path, "tri")
+    monkeypatch.setattr(cli, "next_to_shortest", broken)
+    assert run(["solve", path, "-s", str(s), "-t", str(t)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ntsp: internal error: RealizationExhausted: no crossing expanded\n"
 
 
 def test_oracle_subcommand(tmp_path, capsys):

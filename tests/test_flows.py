@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import maximum_flow
 
 from graphcases import named_graph
 from ntsp.graph import random_graph
+from ntsp.oracle import max_flow_value
 from ntsp.solver import build_core_context, next_to_shortest
 from ntsp.sssp import distance_labels
 from ntsp.zigzag import (
@@ -17,7 +18,6 @@ from ntsp.zigzag import (
     build_candidate_network,
     disjoint_st_pair,
     max_flow_at_least,
-    max_flow_value,
     pinned_candidate_pairs,
 )
 

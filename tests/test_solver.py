@@ -74,6 +74,53 @@ def test_none_when_every_path_is_shortest():
     assert res.kind is None and res.length is None and res.path is None
 
 
+# (n, m, zero_prob, seed, s, t) for random_graph(n, m, 5, zero_prob, seed);
+# each once passed a flow test for a zigzag that does not exist and crashed
+CRASHES = [
+    (9, 16, 0.3, 3051908592, 2, 3),
+    (9, 18, 0.5, 4158967358, 1, 2),
+    (11, 19, 0.5, 723317575, 8, 5),
+    (10, 16, 0.5, 3594661571, 0, 8),
+    (10, 20, 0.5, 361677230, 2, 6),
+    (12, 21, 0.7, 1150029578, 5, 9),
+    (11, 22, 0.5, 1345931180, 6, 3),
+    (12, 19, 0.5, 2298462549, 9, 5),
+    (13, 19, 0.5, 1020704293, 2, 10),
+]
+
+
+def assert_matches_oracle(g, s, t):
+    res = next_to_shortest(g, s, t)
+    want = oracle_next_to_shortest(g, s, t)
+    if want is None:
+        assert res.status == "none"
+    else:
+        assert res.status == "found" and res.length == want
+        check_witness(g, s, t, res)
+
+
+@pytest.mark.parametrize("n,m,zp,seed,s,t", CRASHES)
+def test_former_crashes_match_oracle(n, m, zp, seed, s, t):
+    assert_matches_oracle(random_graph(n, m, 5, zp, seed), s, t)
+
+
+def test_fuzz_beyond_corpus_sizes():
+    # past the corpus's n <= 9; a failure here is a solver bug, so the seed
+    # stays fixed
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        n = rng.randint(10, 13)
+        m = rng.randint(n - 1, 2 * n)
+        zp = rng.choice([0.0, 0.3, 0.5, 0.7, 0.9])
+        seed = rng.randrange(1 << 32)
+        s, t = rng.sample(range(n), 2)
+        g = random_graph(n, m, 5, zp, seed)
+        try:
+            assert_matches_oracle(g, s, t)
+        except AssertionError:
+            raise AssertionError(f"random_graph({n}, {m}, 5, {zp}, {seed}) s={s} t={t}") from None
+
+
 def test_matches_oracle_on_random_slice():
     rng = random.Random(19)
     for _ in range(400):

@@ -43,28 +43,24 @@ def test_pent_realization():
 
 def test_tII_is_doubly_pinned():
     ctx = context_for("tII")
-    delta, finalists = best_backward_pair(ctx)
-    assert delta == 1
-    assert [c.kind for c, _, _ in finalists] == ["pinned_both"]
-    got = zigzag_shortest(ctx)
-    assert got is not None and got[0] == 5
-    assert verify_zigzag(ctx.spdag, got[1], 1)
+    cand, path = best_backward_pair(ctx)
+    assert (cand.kind, cand.delta) == ("pinned_both", 1)
+    assert verify_zigzag(ctx.spdag, path, 1)
+    assert zigzag_shortest(ctx) == (5, path)
 
 
 def test_tIII_is_source_pinned():
     ctx = context_for("tIII")
-    delta, finalists = best_backward_pair(ctx)
-    assert delta == 1
-    assert [c.kind for c, _, _ in finalists] == ["pinned_s"]
-    got = zigzag_shortest(ctx)
-    assert got is not None and got[0] == 5
-    assert verify_zigzag(ctx.spdag, got[1], 1)
+    cand, path = best_backward_pair(ctx)
+    assert (cand.kind, cand.delta) == ("pinned_s", 1)
+    assert verify_zigzag(ctx.spdag, path, 1)
+    assert zigzag_shortest(ctx) == (5, path)
 
 
 def test_no_pair_on_flat_graphs():
     for name in ("quad0", "chain"):
         ctx = context_for(name)
-        assert best_backward_pair(ctx)[0] is None
+        assert best_backward_pair(ctx) is None
         assert zigzag_shortest(ctx) is None
 
 
@@ -91,11 +87,11 @@ def test_kind_winners_on_frozen_instances():
         g = random_graph(n, m, 3, zp, seed)
         s, t = 0, n - 1
         ctx = build_core_context(g, distance_labels(g, s, t))
-        delta, finalists = best_backward_pair(ctx)
-        assert [c.kind for c, _, _ in finalists] == [kind]
+        cand, path = best_backward_pair(ctx)
+        assert cand.kind == kind
+        assert verify_zigzag(ctx.spdag, path, cand.delta)
         got = zigzag_shortest(ctx)
-        assert got is not None
-        assert verify_zigzag(ctx.spdag, got[1], delta)
+        assert got == (ctx.labels.shortest + 2 * cand.delta, path)
         want = oracle_next_to_shortest(g, s, t)
         assert got[0] == want
 
@@ -112,14 +108,14 @@ def test_realized_length_is_shortest_plus_twice_delta():
         if s == t:
             continue
         ctx = build_core_context(g, distance_labels(g, s, t))
-        delta, finalists = best_backward_pair(ctx)
+        found = best_backward_pair(ctx)
         got = zigzag_shortest(ctx)
-        if delta is None:
+        if found is None:
             assert got is None
             continue
-        assert got is not None
-        assert got[0] == ctx.labels.shortest + 2 * delta
-        assert verify_zigzag(ctx.spdag, got[1], delta)
+        cand, path = found
+        assert got == (ctx.labels.shortest + 2 * cand.delta, path)
+        assert verify_zigzag(ctx.spdag, path, cand.delta)
 
 
 def test_backward_pair_delta_matches_exhaustive_minimum():
@@ -140,7 +136,8 @@ def test_backward_pair_delta_matches_exhaustive_minimum():
             spdag.level[x] - spdag.level[y]
             for x, y in oracle_backward_pairs(g, spdag)
         ]
-        delta, _ = best_backward_pair(ctx)
+        found = best_backward_pair(ctx)
+        delta = found[0].delta if found is not None else None
         assert delta == (min(deltas) if deltas else None)
 
 
