@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .graph import Graph, build_graph
 from .spdag import SpDag
+from .zigzag import BackwardCandidate, CoreContext
 
 DEFAULT_PATH_CAP = 200_000
 
@@ -216,6 +217,47 @@ def oracle_zero_clusters(spdag: SpDag, idom_s: list[int], idom_t: list[int]) -> 
                 assert linked(u, v), "zero-cluster relation not transitive here"
     return out
 
+
+def oracle_open_pair(ctx: CoreContext) -> BackwardCandidate | None:
+    """Smallest (delta, comp_x, comp_y) open pair by scanning all cluster pairs.
+
+    The pair must descend, neither cluster may dominate the other on its
+    side, and idom_s(cx) < cy < cx < idom_t(cy) must hold, where < is
+    reachability along cluster arcs, read off bitsets built here.
+    """
+    dag = ctx.dag
+    reach = [0] * dag.count
+    for c in reversed(dag.topo):
+        bits = 1 << c
+        for b, _, _, _ in dag.succ[c]:
+            bits |= reach[b]
+        reach[c] = bits
+
+    def precedes(a: int, b: int) -> bool:
+        return a != b and (reach[a] >> b) & 1 == 1
+
+    best: tuple[int, int, int] | None = None
+    for cx in range(dag.count):
+        gate_in = dag.idom_s.idom[cx]
+        if gate_in == -1:
+            continue
+        for cy in range(dag.count):
+            delta = dag.comp_level[cx] - dag.comp_level[cy]
+            if delta <= 0:
+                continue
+            gate_out = dag.idom_t.idom[cy]
+            if gate_out == -1:
+                continue
+            if dag.idom_s.dominates(cy, cx) or dag.idom_t.dominates(cx, cy):
+                continue
+            if not (precedes(gate_in, cy) and precedes(cy, cx) and precedes(cx, gate_out)):
+                continue
+            key = (delta, cx, cy)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return None
+    return BackwardCandidate("open", comp_x=best[1], comp_y=best[2], delta=best[0])
 
 
 def max_flow_value(net) -> int:

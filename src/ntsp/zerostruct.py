@@ -4,7 +4,9 @@ Zero edges that realize a dominator relation are severed and oriented; what
 survives groups into clusters whose members are mutually reachable without
 ever crossing one of their own dominators.  Contracting each cluster to a
 single node yields a DAG whose directed reachability is the precedence order
-the backward-pair search runs on.
+the backward-pair search runs on.  Nothing here stores that order for all
+pairs: a precedence test is a search over the arcs, cut off at the target's
+topological position, and the zigzag layer walks the arcs itself.
 """
 from __future__ import annotations
 
@@ -118,7 +120,8 @@ class ClusterDag:
 
     Arcs carry (head, weight, witness_u, witness_v) where the witness is a
     core edge joining the two clusters; zero arcs come from severed edges.
-    reach[c] is a bitset of every cluster reachable from c, itself included.
+    topo lists the clusters in topological order (smallest id first among
+    the ready ones) and topo_index is its inverse.
     """
 
     count: int
@@ -126,7 +129,6 @@ class ClusterDag:
     pred: tuple[tuple[tuple[int, int, int, int], ...], ...]
     topo: tuple[int, ...]
     topo_index: tuple[int, ...]
-    reach: tuple[int, ...]
     idom_s: DomTree
     idom_t: DomTree
     source_comp: int
@@ -134,8 +136,26 @@ class ClusterDag:
     comp_level: tuple[int, ...]
 
     def precedes(self, a: int, b: int) -> bool:
-        """Strictly before: a reaches b along arcs and differs from it."""
-        return a != b and (self.reach[a] >> b) & 1 == 1
+        """Strictly before: a reaches b along arcs and differs from it.
+
+        A forward search from a that never enters a cluster placed after b
+        in topo, since no such cluster reaches b.
+        """
+        if a == b:
+            return False
+        limit = self.topo_index[b]
+        if self.topo_index[a] > limit:
+            return False
+        seen = {a}
+        stack = [a]
+        while stack:
+            for c, _, _, _ in self.succ[stack.pop()]:
+                if c == b:
+                    return True
+                if c not in seen and self.topo_index[c] < limit:
+                    seen.add(c)
+                    stack.append(c)
+        return False
 
 
 def build_cluster_dag(spdag: SpDag, partition: ZeroPartition, ts: DomTree, tt: DomTree) -> ClusterDag:
@@ -189,13 +209,6 @@ def build_cluster_dag(spdag: SpDag, partition: ZeroPartition, ts: DomTree, tt: D
     for i, c in enumerate(topo):
         topo_index[c] = i
 
-    reach = [0] * count
-    for c in reversed(topo):
-        bits = 1 << c
-        for b, _, _, _ in succ[c]:
-            bits |= reach[b]
-        reach[c] = bits
-
     active = list(range(count))
     succ_ids = [[b for b, _, _, _ in succ[c]] for c in range(count)]
     pred_ids = [[a for a, _, _, _ in pred[c]] for c in range(count)]
@@ -208,7 +221,6 @@ def build_cluster_dag(spdag: SpDag, partition: ZeroPartition, ts: DomTree, tt: D
         pred=tuple(tuple(x) for x in pred),
         topo=tuple(topo),
         topo_index=tuple(topo_index),
-        reach=tuple(reach),
         idom_s=idom_s,
         idom_t=idom_t,
         source_comp=sc,

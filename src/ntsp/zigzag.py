@@ -3,7 +3,9 @@
 A candidate is a pair of zero clusters (x side above, y side below) that some
 shortest s-t path could visit out of level order: climb to the x cluster,
 descend back to the y cluster along core edges, then climb to t.  Candidates
-split by how the cluster dominator trees pin them to each other.  One walk
+split by how the cluster dominator trees pin them to each other; the
+cheapest unpinned (open) one comes from a short walk back from each cluster,
+so nothing here visits all cluster pairs.  One walk
 takes them cheapest first; a pinned candidate must pass a small unit-capacity
 flow test, which only prunes, and any candidate counts once its realized
 path passes verify_zigzag.  That verified witness is the confirmation.
@@ -435,18 +437,32 @@ class CandidateNetwork:
 
 
 def build_candidate_network(ctx: CoreContext, cand: BackwardCandidate) -> CandidateNetwork:
+    """The candidate's flow network; a pinned_t one is built as seen from t.
+
+    Seen from t, a t-pinned pair is the s-pinned pair (comp_y, comp_x) over
+    the reversed arcs: the network flipped_context would give that pair.  It
+    is this network reversed, so it has the same max flow, and its flow
+    units are the ones _realize_pinned_s expands in the flipped context.
+    """
     spdag, partition, dag = ctx.spdag, ctx.partition, ctx.dag
     cy, cx = cand.comp_y, cand.comp_x
+    verts: set[int] = set(partition.members[cy]) | set(partition.members[cx])
+    # the span cy < c < cx: what a walk back from cx and a walk on from cy
+    # both meet between the two levels
+    lo, hi = dag.comp_level[cy], dag.comp_level[cx]
+    span = set(band_walk(dag, cx, lo, hi, False))
+    span.intersection_update(band_walk(dag, cy, lo, hi, True))
+    for c in span:
+        verts.update(partition.members[c])
+    succ_pos = spdag.succ_pos
+    if cand.kind == "pinned_t":
+        cy, cx, succ_pos = cx, cy, spdag.pred_pos
     zy = frozenset(partition.members[cy])
     zx = frozenset(partition.members[cx])
-    verts: set[int] = set(zy) | set(zx)
-    for c in range(dag.count):
-        if dag.precedes(cy, c) and dag.precedes(c, cx):
-            verts.update(partition.members[c])
 
     h_succ: dict[int, list[int]] = {v: [] for v in verts}
     for v in verts:
-        for nb, _ in spdag.succ_pos[v]:
+        for nb, _ in succ_pos[v]:
             if nb in verts:
                 h_succ[v].append(nb)
     for u, v in spdag.zero_edges:
@@ -497,8 +513,8 @@ def build_candidate_network(ctx: CoreContext, cand: BackwardCandidate) -> Candid
         conduits[(vy, ux)] = corridor
         replaced.add(cid)
 
-    y_cap = 1 if cand.kind == "pinned_s" else 2
-    x_cap = 1 if cand.kind == "pinned_t" else 2
+    y_cap = 2 if cand.kind == "pinned_both" else 1
+    x_cap = 2
     caps = {SOURCE: BIG, SINK: BIG}
     for v in sorted(zy):
         caps[v] = y_cap
@@ -526,27 +542,62 @@ def candidate_flow_quota(cand: BackwardCandidate) -> int:
     return 3 if cand.kind == "pinned_both" else 2
 
 
+def band_walk(
+    dag: ClusterDag, start: int, lo: int, hi: int, forward: bool, avoid: int = -1
+) -> list[int]:
+    """Clusters reached from start along the arcs, or against them.
+
+    The walk enters only clusters whose level lies in [lo, hi] and never
+    enters avoid; start itself is not listed.  Levels never fall along an
+    arc, so a walk can only leave the band on one side.
+    """
+    arcs, level = (dag.succ if forward else dag.pred), dag.comp_level
+    seen = {start, avoid}
+    out: list[int] = []
+    stack = [start]
+    while stack:
+        for c, _, _, _ in arcs[stack.pop()]:
+            if c not in seen and lo <= level[c] <= hi:
+                seen.add(c)
+                out.append(c)
+                stack.append(c)
+    return out
+
+
+def open_region(dag: ClusterDag, cx: int, max_delta: int) -> list[int]:
+    """Clusters c with idom_s(cx) < c < cx and L(cx) - L(c) <= max_delta.
+
+    A backward walk from cx that never enters the gate idom_s(cx).  The gate
+    dominates cx, so every cluster the walk meets sits strictly after it.
+    """
+    if len(dag.pred[cx]) < 2:
+        return []  # a lone predecessor is the gate itself
+    top = dag.comp_level[cx]
+    return band_walk(dag, cx, top - max_delta, top, False, avoid=dag.idom_s.idom[cx])
+
+
 def best_open_pair(ctx: CoreContext) -> BackwardCandidate | None:
+    """The open pair with the smallest (delta, comp_x, comp_y), or None.
+
+    (cx, cy) is open when cy sits strictly between idom_s(cx) and cx, below
+    cx, and cx strictly before idom_t(cy).  Given cy < cx, that last test
+    holds exactly when idom_t(cy) strictly t-dominates cx.  So one walk back
+    from each cx (open_region) lists its partners, and a later cx only needs
+    the levels that could still beat the best delta so far.
+    """
     dag = ctx.dag
+    level, idom_t = dag.comp_level, dag.idom_t
     best: tuple[int, int, int] | None = None
     for cx in range(dag.count):
-        gate_in = dag.idom_s.idom[cx]
-        if gate_in == -1:
+        if dag.idom_s.idom[cx] == -1:
             continue
-        for cy in range(dag.count):
-            delta = dag.comp_level[cx] - dag.comp_level[cy]
-            if delta <= 0:
-                continue
-            gate_out = dag.idom_t.idom[cy]
-            if gate_out == -1:
-                continue
-            if dag.idom_s.dominates(cy, cx) or dag.idom_t.dominates(cx, cy):
-                continue
-            if not (
-                dag.precedes(gate_in, cy)
-                and dag.precedes(cy, cx)
-                and dag.precedes(cx, gate_out)
-            ):
+        bound = BIG if best is None else best[0] - 1
+        if bound < 1:
+            break
+        for cy in open_region(dag, cx, bound):
+            delta = level[cx] - level[cy]
+            gate_out = idom_t.idom[cy]
+            if delta <= 0 or gate_out == -1 or not idom_t.strictly_dominates(gate_out, cx):
                 continue
             key = (delta, cx, cy)
             if best is None or key < best:
@@ -600,12 +651,16 @@ def best_backward_pair(ctx: CoreContext) -> tuple[BackwardCandidate, list[int]] 
     comp_x, comp_y) order.  A pinned candidate is realized only once its
     flow test passes; the first realized path that verify_zigzag accepts
     wins, so a candidate that passes its flow test without expanding just
-    gives way to the next one.
+    gives way to the next one.  A t-pinned pair is expanded as an s-pinned
+    one in the flipped context, built once a first such pair passes its
+    flow test; its network is already the flipped one, so that flow is
+    solved once.
     """
     cands = pinned_candidate_pairs(ctx)
     open_best = best_open_pair(ctx)
     if open_best is not None:
         cands = sorted(cands + [open_best], key=_walk_key)
+    flipped: CoreContext | None = None
     for cand in cands:
         if cand.kind == "open":
             path = _realize_open(ctx, cand)
@@ -614,7 +669,19 @@ def best_backward_pair(ctx: CoreContext) -> tuple[BackwardCandidate, list[int]] 
             res = max_flow_at_least(cn.net, candidate_flow_quota(cand))
             if not res.ok:
                 continue
-            path = _realize_pinned(ctx, cand, cn, res)
+            if cand.kind == "pinned_both":
+                path = _realize_pinned_both(ctx, cand, cn, res)
+            elif cand.kind == "pinned_s":
+                path = _realize_pinned_s(ctx, cand, cn, res)
+            else:
+                if flipped is None:
+                    flipped = flipped_context(ctx)
+                mirror = BackwardCandidate(
+                    "pinned_s", comp_x=cand.comp_y, comp_y=cand.comp_x, delta=cand.delta
+                )
+                path = _realize_pinned_s(flipped, mirror, cn, res)
+                if path is not None:
+                    path = path[::-1]
         if path is not None and verify_zigzag(ctx.spdag, path, cand.delta):
             return cand, path
     return None
@@ -724,13 +791,11 @@ def _realize_open(ctx: CoreContext, cand: BackwardCandidate) -> list[int] | None
     route = cluster_route(dag, cy, dag.target_comp, banned={cx})
     if route is None:
         return None
-    gate = dag.idom_s.idom[cx]
+    region = set(open_region(dag, cx, cand.delta))
     picks = [
         i
         for i, c in enumerate(route)
-        if dag.comp_level[c] == dag.comp_level[cy]
-        and dag.precedes(gate, c)
-        and dag.precedes(c, cx)
+        if dag.comp_level[c] == dag.comp_level[cy] and c in region
     ]
     for i in reversed(picks):
         v = route[i]
@@ -926,31 +991,6 @@ def flipped_context(ctx: CoreContext) -> CoreContext:
         graph=ctx.graph, labels=flabels, spdag=fsp, ts=fts, tt=ftt,
         partition=fpart, dag=fdag,
     )
-
-
-def _realize_pinned_t(ctx: CoreContext, cand: BackwardCandidate) -> list[int] | None:
-    fctx = flipped_context(ctx)
-    fcand = BackwardCandidate(
-        "pinned_s", comp_x=cand.comp_y, comp_y=cand.comp_x, delta=cand.delta
-    )
-    fcn = build_candidate_network(fctx, fcand)
-    fres = max_flow_at_least(fcn.net, 2)
-    if not fres.ok:
-        return None
-    path = _realize_pinned_s(fctx, fcand, fcn, fres)
-    if path is None:
-        return None
-    return path[::-1]
-
-
-def _realize_pinned(
-    ctx: CoreContext, cand: BackwardCandidate, cn: CandidateNetwork, res: FlowOutcome
-) -> list[int] | None:
-    if cand.kind == "pinned_both":
-        return _realize_pinned_both(ctx, cand, cn, res)
-    if cand.kind == "pinned_s":
-        return _realize_pinned_s(ctx, cand, cn, res)
-    return _realize_pinned_t(ctx, cand)
 
 
 def zigzag_shortest(ctx: CoreContext) -> tuple[int, list[int]] | None:

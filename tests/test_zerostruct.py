@@ -133,3 +133,24 @@ def test_cluster_dag_arc_properties():
                 assert g.edge_index(u, v) is not None
                 if w == 0:
                     assert a == dag.idom_s.idom[b] or b == dag.idom_t.idom[a]
+
+
+def test_precedes_matches_reachability():
+    # the pruned forward search against a plain search over every arc
+    rng = random.Random(16)
+    for _ in range(200):
+        n = rng.randint(4, 12)
+        m = rng.randint(n - 1, min(24, n * (n - 1) // 2))
+        g = random_graph(n, m, 3, rng.choice([0.0, 0.3, 0.6]), seed=rng.randrange(1 << 20))
+        s, t = rng.sample(range(n), 2)
+        dag = structures(g, s, t)[4]
+        for a in range(dag.count):
+            seen = set()
+            stack = [a]
+            while stack:
+                for b, _, _, _ in dag.succ[stack.pop()]:
+                    if b not in seen:
+                        seen.add(b)
+                        stack.append(b)
+            for b in range(dag.count):
+                assert dag.precedes(a, b) == (b in seen)

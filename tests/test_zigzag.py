@@ -4,12 +4,13 @@ from __future__ import annotations
 import random
 
 from graphcases import named_graph
-from ntsp.graph import random_graph
-from ntsp.oracle import oracle_backward_pairs, oracle_next_to_shortest
-from ntsp.solver import build_core_context
+from ntsp.graph import build_graph, random_graph
+from ntsp.oracle import oracle_backward_pairs, oracle_next_to_shortest, oracle_open_pair
+from ntsp.solver import build_core_context, next_to_shortest
 from ntsp.sssp import distance_labels
 from ntsp.zerostruct import backward_feasible
 from ntsp.zigzag import (
+    audit_flows,
     best_backward_pair,
     best_open_pair,
     verify_zigzag,
@@ -157,3 +158,56 @@ def test_beta_necessity_on_oracle_pairs():
             # a canonical descent loses height on its first step
             assert ctx.spdag.level[x] > ctx.spdag.level[y]
             assert backward_feasible(x, y, ctx.partition, ctx.dag, ctx.ts, ctx.tt)
+
+
+def assert_open_pair_matches_scan(g, s, t, label):
+    ctx = build_core_context(g, distance_labels(g, s, t))
+    got, want = best_open_pair(ctx), oracle_open_pair(ctx)
+    assert got == want, (label, got, want)
+    return got is not None
+
+
+def test_open_pair_matches_all_pairs_scan(criterion_corpus):
+    # a failure here is a solver bug, so the seed stays fixed
+    for i, (g, s, t) in enumerate(criterion_corpus):
+        assert_open_pair_matches_scan(g, s, t, f"corpus #{i}")
+    rng = random.Random(20261019)
+    for _ in range(3000):
+        n = rng.randint(10, 40)
+        m = rng.randint(n - 1, min(3 * n, n * (n - 1) // 2))
+        zp = rng.choice([0.0, 0.3, 0.5, 0.7, 0.9])
+        seed = rng.randrange(1 << 32)
+        s, t = rng.sample(range(n), 2)
+        g = random_graph(n, m, 5, zp, seed)
+        assert_open_pair_matches_scan(g, s, t, f"random_graph({n}, {m}, 5, {zp}, {seed}) s={s} t={t}")
+
+
+def test_open_pair_matches_scan_on_weighted_grids():
+    # sparse random graphs rarely hold an open pair; grids with weights
+    # 0..2 and shuffled ids hold one about a quarter of the time
+    found = 0
+    for k in range(3, 14):
+        for seed in range(20):
+            rng = random.Random(seed * 100 + k)
+            perm = list(range(k * k))
+            rng.shuffle(perm)
+            edges = []
+            for r in range(k):
+                for c in range(k):
+                    v = r * k + c
+                    if c + 1 < k:
+                        edges.append((perm[v], perm[v + 1], rng.choice([0, 1, 1, 2])))
+                    if r + 1 < k:
+                        edges.append((perm[v], perm[v + k], rng.choice([0, 1, 1, 2])))
+            s, t = rng.sample(range(k * k), 2)
+            found += assert_open_pair_matches_scan(build_graph(k * k, edges), s, t, (k, seed))
+    assert found >= 40
+
+
+def test_pinned_t_flow_solved_once():
+    # the t-pinned candidate's flow test runs on the flipped network only
+    g = random_graph(7, 9, 3, 0.3, 909663)
+    with audit_flows() as sink:
+        res = next_to_shortest(g, 0, 6)
+    assert len(sink) == 3
+    assert (res.status, res.kind, res.length, res.path) == ("found", "zigzag", 7, (0, 5, 2, 3, 6))
