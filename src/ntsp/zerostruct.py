@@ -5,12 +5,13 @@ survives groups into clusters whose members are mutually reachable without
 ever crossing one of their own dominators.  Contracting each cluster to a
 single node yields a DAG whose directed reachability is the precedence order
 the backward-pair search runs on.  Nothing here stores that order for all
-pairs: a precedence test is a search over the arcs, cut off at the target's
-topological position, and the zigzag layer walks the arcs itself.
+pairs: band_walk is the one search over the arcs, kept to a band of levels,
+and both a precedence test and the zigzag layer's walks are made of it.
 """
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .dominators import DomTree, immediate_dominators
@@ -138,24 +139,32 @@ class ClusterDag:
     def precedes(self, a: int, b: int) -> bool:
         """Strictly before: a reaches b along arcs and differs from it.
 
-        A forward search from a that never enters a cluster placed after b
-        in topo, since no such cluster reaches b.
+        A forward band_walk from a over the levels [L(a), L(b)], stopped
+        once it meets b; no path from a to b leaves that band.
         """
         if a == b:
             return False
-        limit = self.topo_index[b]
-        if self.topo_index[a] > limit:
-            return False
-        seen = {a}
-        stack = [a]
-        while stack:
-            for c, _, _, _ in self.succ[stack.pop()]:
-                if c == b:
-                    return True
-                if c not in seen and self.topo_index[c] < limit:
-                    seen.add(c)
-                    stack.append(c)
-        return False
+        return b in band_walk(self, a, self.comp_level[a], self.comp_level[b], True)
+
+
+def band_walk(
+    dag: ClusterDag, start: int, lo: int, hi: int, forward: bool, avoid: int = -1
+) -> Iterator[int]:
+    """Clusters reached from start along the arcs, or against them, as met.
+
+    The walk enters only clusters whose level lies in [lo, hi] and never
+    enters avoid; start itself is not listed.  Levels never fall along an
+    arc, so a walk can only leave the band on one side.
+    """
+    arcs, level = (dag.succ if forward else dag.pred), dag.comp_level
+    seen = {start, avoid}
+    stack = [start]
+    while stack:
+        for c, _, _, _ in arcs[stack.pop()]:
+            if c not in seen and lo <= level[c] <= hi:
+                seen.add(c)
+                yield c
+                stack.append(c)
 
 
 def build_cluster_dag(spdag: SpDag, partition: ZeroPartition, ts: DomTree, tt: DomTree) -> ClusterDag:

@@ -12,6 +12,7 @@ path passes verify_zigzag.  That verified witness is the confirmation.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ from .zerostruct import (
     ClusterDag,
     ZeroPartition,
     backward_feasible,
+    band_walk,
     build_cluster_dag,
     zero_path_within,
 )
@@ -542,36 +544,14 @@ def candidate_flow_quota(cand: BackwardCandidate) -> int:
     return 3 if cand.kind == "pinned_both" else 2
 
 
-def band_walk(
-    dag: ClusterDag, start: int, lo: int, hi: int, forward: bool, avoid: int = -1
-) -> list[int]:
-    """Clusters reached from start along the arcs, or against them.
-
-    The walk enters only clusters whose level lies in [lo, hi] and never
-    enters avoid; start itself is not listed.  Levels never fall along an
-    arc, so a walk can only leave the band on one side.
-    """
-    arcs, level = (dag.succ if forward else dag.pred), dag.comp_level
-    seen = {start, avoid}
-    out: list[int] = []
-    stack = [start]
-    while stack:
-        for c, _, _, _ in arcs[stack.pop()]:
-            if c not in seen and lo <= level[c] <= hi:
-                seen.add(c)
-                out.append(c)
-                stack.append(c)
-    return out
-
-
-def open_region(dag: ClusterDag, cx: int, max_delta: int) -> list[int]:
+def open_region(dag: ClusterDag, cx: int, max_delta: float) -> Iterable[int]:
     """Clusters c with idom_s(cx) < c < cx and L(cx) - L(c) <= max_delta.
 
     A backward walk from cx that never enters the gate idom_s(cx).  The gate
     dominates cx, so every cluster the walk meets sits strictly after it.
     """
     if len(dag.pred[cx]) < 2:
-        return []  # a lone predecessor is the gate itself
+        return ()  # a lone predecessor is the gate itself
     top = dag.comp_level[cx]
     return band_walk(dag, cx, top - max_delta, top, False, avoid=dag.idom_s.idom[cx])
 
@@ -591,7 +571,7 @@ def best_open_pair(ctx: CoreContext) -> BackwardCandidate | None:
     for cx in range(dag.count):
         if dag.idom_s.idom[cx] == -1:
             continue
-        bound = BIG if best is None else best[0] - 1
+        bound = math.inf if best is None else best[0] - 1
         if bound < 1:
             break
         for cy in open_region(dag, cx, bound):

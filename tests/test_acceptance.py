@@ -9,6 +9,7 @@ import gc
 import random
 import time
 import tracemalloc
+from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -226,43 +227,60 @@ def test_criterion_5_flow_discipline(criterion_corpus):
     assert ok, problems
 
 
-def timed_pipeline(g, labels, parent) -> float:
+def timed(run) -> float:
+    """Wall time of one call of run, with the garbage collector held off."""
     gc.collect()
     gc.disable()
     t0 = time.perf_counter()
-    spdag, _, _, _ = structure_stage(g, labels)
-    crossing_stage(g, labels, spdag, parent)
+    run()
     elapsed = time.perf_counter() - t0
     gc.enable()
     return elapsed
 
 
+def interleaved_best(small, big, passes):
+    """Best-of-3 times of two runs, interleaved, over up to three attempts.
+
+    The box runs shared; a neighbour's burst can inflate one size of one
+    attempt.  Each attempt interleaves the sizes and keeps the minimum (the
+    low-interference estimator), and a fresh attempt after a pause answers
+    a burst that covered a whole attempt.  An attempt whose two bests
+    satisfy passes ends the loop.  Returns every attempt's (small, big)
+    bests and the slowest raw run.
+    """
+    attempts = []
+    worst = 0.0
+    for attempt in range(3):
+        runs: tuple[list[float], list[float]] = ([], [])
+        for _ in range(3):
+            for rs, run in zip(runs, (small, big)):
+                rs.append(timed(run))
+        best = (min(runs[0]), min(runs[1]))
+        worst = max(worst, max(max(rs) for rs in runs))
+        attempts.append(best)
+        if passes(*best):
+            break
+        time.sleep(2.0)
+    return attempts, worst
+
+
+def run_pipeline(g, labels, parent) -> None:
+    spdag, _, _, _ = structure_stage(g, labels)
+    crossing_stage(g, labels, spdag, parent)
+
+
 def test_criterion_6_near_linear_scaling():
     sizes = (1 << 16, 1 << 17)
-    ready = {}
+    runs = []
     worst = 0.0
     for n in sizes:
         g = random_graph(n, 4 * n, 8, 0.2, seed=1)
         labels, parent = distance_stage(g, 0, n - 1)  # sssp runs untimed
-        ready[n] = (g, labels, parent)
-        worst = max(worst, timed_pipeline(g, labels, parent))  # warmup
-    # The box runs shared; a neighbour's burst can inflate one size of one
-    # attempt.  Each attempt interleaves the sizes and keeps the minimum (the
-    # low-interference estimator), and a fresh attempt after a pause answers
-    # a burst that covered a whole attempt.  Every raw run stays under the
-    # hard cap regardless.
-    attempts = []
-    for attempt in range(3):
-        runs: dict[int, list[float]] = {n: [] for n in sizes}
-        for _ in range(3):
-            for n in sizes:
-                runs[n].append(timed_pipeline(*ready[n]))
-        best = {n: min(rs) for n, rs in runs.items()}
-        worst = max(worst, max(max(rs) for rs in runs.values()))
-        attempts.append((best[sizes[0]], best[sizes[1]]))
-        if best[sizes[1]] / best[sizes[0]] <= 2.6:
-            break
-        time.sleep(2.0)
+        runs.append(partial(run_pipeline, g, labels, parent))
+        worst = max(worst, timed(runs[-1]))  # warmup
+    # every raw run stays under the hard cap regardless
+    attempts, slowest = interleaved_best(*runs, lambda small, big: big / small <= 2.6)
+    worst = max(worst, slowest)
     small, big = attempts[-1]
     ratio = big / small
     ok = ratio <= 2.6 and worst < 10.0
@@ -304,16 +322,6 @@ def unit_grid(k: int):
     return build_graph(k * k, edges)
 
 
-def timed_query(g, s, t) -> float:
-    gc.collect()
-    gc.disable()
-    t0 = time.perf_counter()
-    next_to_shortest(g, s, t)
-    elapsed = time.perf_counter() - t0
-    gc.enable()
-    return elapsed
-
-
 def cluster_dag_peak_mib(g, s, t) -> float:
     spdag, ts, tt, partition = structure_stage(g, distance_labels(g, s, t))
     gc.collect()
@@ -330,20 +338,12 @@ def test_criterion_8_wide_core_scaling():
     # cluster, so any pass quadratic in the cluster count shows here
     sizes = (64, 128)
     queries = {k: (unit_grid(k), 0, k * k - 1) for k in sizes}
-    for k in sizes:
-        timed_query(*queries[k])  # warmup
-    # interleaved best-of-3 attempts, as in criterion 6
-    attempts = []
-    for attempt in range(3):
-        runs: dict[int, list[float]] = {k: [] for k in sizes}
-        for _ in range(3):
-            for k in sizes:
-                runs[k].append(timed_query(*queries[k]))
-        best = {k: min(rs) for k, rs in runs.items()}
-        attempts.append((best[sizes[0]], best[sizes[1]]))
-        if best[sizes[1]] / best[sizes[0]] <= 8.0 and best[sizes[1]] < 3.0:
-            break
-        time.sleep(2.0)
+    runs = [partial(next_to_shortest, *queries[k]) for k in sizes]
+    for run in runs:
+        timed(run)  # warmup
+    attempts, _ = interleaved_best(
+        *runs, lambda small, big: big / small <= 8.0 and big < 3.0
+    )
     small, big = attempts[-1]
     ratio = big / small
     peaks = [cluster_dag_peak_mib(*queries[k]) for k in sizes]

@@ -184,24 +184,28 @@ def test_open_pair_matches_all_pairs_scan(criterion_corpus):
 
 def test_open_pair_matches_scan_on_weighted_grids():
     # sparse random graphs rarely hold an open pair; grids with weights
-    # 0..2 and shuffled ids hold one about a quarter of the time
-    found = 0
-    for k in range(3, 14):
-        for seed in range(20):
-            rng = random.Random(seed * 100 + k)
-            perm = list(range(k * k))
-            rng.shuffle(perm)
-            edges = []
-            for r in range(k):
-                for c in range(k):
-                    v = r * k + c
-                    if c + 1 < k:
-                        edges.append((perm[v], perm[v + 1], rng.choice([0, 1, 1, 2])))
-                    if r + 1 < k:
-                        edges.append((perm[v], perm[v + k], rng.choice([0, 1, 1, 2])))
-            s, t = rng.sample(range(k * k), 2)
-            found += assert_open_pair_matches_scan(build_graph(k * k, edges), s, t, (k, seed))
-    assert found >= 40
+    # 0..2 and shuffled ids hold one about a quarter of the time.  Scaled by
+    # 2**30, every delta exceeds 10**9 and the walk must still find the pair.
+    for scale in (1, 1 << 30):
+        found = 0
+        for k in range(3, 14):
+            for seed in range(20):
+                rng = random.Random(seed * 100 + k)
+                perm = list(range(k * k))
+                rng.shuffle(perm)
+                edges = []
+                for r in range(k):
+                    for c in range(k):
+                        v = r * k + c
+                        if c + 1 < k:
+                            edges.append((perm[v], perm[v + 1], scale * rng.choice([0, 1, 1, 2])))
+                        if r + 1 < k:
+                            edges.append((perm[v], perm[v + k], scale * rng.choice([0, 1, 1, 2])))
+                s, t = rng.sample(range(k * k), 2)
+                found += assert_open_pair_matches_scan(
+                    build_graph(k * k, edges), s, t, (k, seed, scale)
+                )
+        assert found >= 40, scale
 
 
 def test_pinned_t_flow_solved_once():
