@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 solved (including a "none" answer), 1 usage problems,
-2 unreadable or invalid input, 3 answer rejected by --check, 4 an internal
+2 unreadable or invalid input (for gen: an infeasible spec or an
+unwritable output file), 3 answer rejected by --check, 4 an internal
 solver error (a bug, reported in one line).
 """
 from __future__ import annotations
@@ -157,8 +158,12 @@ def _cmd_gen(args) -> int:
     if args.out is None or args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"ntsp: cannot write output: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 
@@ -178,11 +183,11 @@ def _cmd_bench(args) -> int:
         g = random_graph(n, 4 * n, args.max_weight, args.zero_prob, args.seed)
         s, t = 0, g.n - 1
         t0 = time.perf_counter()
-        labels, parent = distance_stage(g, s, t)
+        labels, parent, parent_edge = distance_stage(g, s, t)
         t1 = time.perf_counter()
         spdag, _, _, _ = structure_stage(g, labels)
         t2 = time.perf_counter()
-        crossing_stage(g, labels, spdag, parent)
+        crossing_stage(g, labels, spdag, parent, parent_edge)
         t3 = time.perf_counter()
         rows = (("distances", t1 - t0), ("structure", t2 - t1), ("crossings", t3 - t2))
         for stage, secs in rows:

@@ -4,7 +4,8 @@ Every such path crosses some edge absent from both the shortest-path tree
 and the core; crossing (x, y) costs at least from_s[x] + w + to_t[y].  The
 scan takes the minimum of that score over the usable edges, and a short
 cascade of constructions turns the winning edge into a concrete simple path
-of exactly that length.
+of exactly that length.  The scan is one pass over the edges that keeps only
+the crossings at the minimum score.
 
 An edge is usable only when its endpoints hang from different anchors.  The
 anchor of v is the root of the maximal tree stretch above v with no core
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from .graph import Graph
 from .spdag import SpDag
-from .sssp import DistLabels, bfs_path, tree_path
+from .sssp import INF, DistLabels, bfs_path, tree_path
 from .zigzag import disjoint_st_pair, strict_join
 
 
@@ -23,9 +24,12 @@ class RealizationExhausted(RuntimeError):
     """No crossing at the best score expanded into a path; an internal bug."""
 
 
-def anchor_array(g: Graph, spdag: SpDag, parent: list[int]) -> list[int]:
+def anchor_array(
+    g: Graph, spdag: SpDag, parent: list[int], parent_edge: list[int]
+) -> list[int]:
     """Anchor of every vertex: itself when its tree parent edge is a core
     edge (or it is s), otherwise the anchor of its parent."""
+    core_edge = spdag.core_edge
     anch = [-1] * g.n
     anch[spdag.source] = spdag.source
     for v0 in range(g.n):
@@ -34,14 +38,11 @@ def anchor_array(g: Graph, spdag: SpDag, parent: list[int]) -> list[int]:
         chain: list[int] = []
         v = v0
         while anch[v] == -1:
-            p = parent[v]
-            ei = g.edge_index(p, v)
-            assert ei is not None
-            if spdag.core_edge[ei]:
+            if core_edge[parent_edge[v]]:
                 anch[v] = v
             else:
                 chain.append(v)
-                v = p
+                v = parent[v]
         for u in chain:
             anch[u] = anch[v]
     return anch
@@ -50,21 +51,29 @@ def anchor_array(g: Graph, spdag: SpDag, parent: list[int]) -> list[int]:
 def detour_candidates(
     g: Graph, labels: DistLabels, spdag: SpDag, parent: list[int], anchor: list[int]
 ) -> list[tuple[int, int, int, int]]:
-    """Scored (f, x, y, w) crossings of usable edges, both directions."""
-    tree_pairs = set()
-    for v, p in enumerate(parent):
-        if p >= 0:
-            tree_pairs.add((p, v) if p < v else (v, p))
-    out: list[tuple[int, int, int, int]] = []
-    for ei, (u, v, w) in enumerate(g.edges):
-        if spdag.core_edge[ei] or (u, v) in tree_pairs:
+    """The cheapest scored (f, x, y, w) crossings of usable edges, sorted.
+
+    One pass over the edges keeps only the crossings, in either direction,
+    whose score f equals the minimum; the list is empty when no edge is
+    usable.
+    """
+    from_s, to_t = labels.from_s, labels.to_t
+    best = INF
+    ties: list[tuple[int, int, int, int]] = []
+    for (u, v, w), core in zip(g.edges, spdag.core_edge):
+        if core or parent[v] == u or parent[u] == v or anchor[u] == anchor[v]:
             continue
-        if anchor[u] == anchor[v]:
-            continue
-        out.append((labels.from_s[u] + w + labels.to_t[v], u, v, w))
-        out.append((labels.from_s[v] + w + labels.to_t[u], v, u, w))
-    out.sort()
-    return out
+        f = from_s[u] + w + to_t[v]
+        r = from_s[v] + w + to_t[u]
+        if f < best or r < best:
+            best = min(f, r)
+            ties = []
+        if f == best:
+            ties.append((f, u, v, w))
+        if r == best:
+            ties.append((r, v, u, w))
+    ties.sort()
+    return ties
 
 
 def _path_length(g: Graph, path: list[int]) -> int:
@@ -160,9 +169,7 @@ def shortest_detour(
     if not cands:
         return None
     goal = cands[0][0]
-    for f, x, y, _ in cands:
-        if f != goal:
-            break
+    for _, x, y, _ in cands:
         path = _realize_crossing(g, labels, spdag, parent, anchor, x, y, goal)
         if path is not None:
             return goal, path

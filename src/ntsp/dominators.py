@@ -150,8 +150,12 @@ def immediate_dominators(
 def core_dominator_trees(spdag) -> tuple[DomTree, DomTree]:
     """Dominators from s, and from t over the reversed arcs."""
     active = spdag.core_vertices()
-    succ = [[nb for nb, _ in spdag.succ_all[v]] for v in range(spdag.n)]
-    pred = [[nb for nb, _ in spdag.pred_all[v]] for v in range(spdag.n)]
+    # only core vertices have arcs; the rest share one empty row
+    succ: list = [()] * spdag.n
+    pred: list = [()] * spdag.n
+    for v in active:
+        succ[v] = [nb for nb, _ in spdag.succ_all[v]]
+        pred[v] = [nb for nb, _ in spdag.pred_all[v]]
     ts = immediate_dominators(spdag.n, succ, spdag.source, active, "from_s", "core")
     tt = immediate_dominators(spdag.n, pred, spdag.target, active, "to_t", "core")
     return ts, tt

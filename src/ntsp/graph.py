@@ -182,6 +182,10 @@ def random_graph(n: int, m: int, max_w: int, zero_prob: float, seed: int) -> Gra
     """
     if n <= 0 or m < n - 1 or m > n * (n - 1) // 2:
         raise InfeasibleSpecError(f"infeasible combination n={n} m={m}", None)
+    if max_w < 1:
+        raise InfeasibleSpecError(f"max weight must be at least 1, got {max_w}", None)
+    if not 0 <= zero_prob <= 1:
+        raise InfeasibleSpecError(f"zero probability must lie in [0, 1], got {zero_prob}", None)
     rng = random.Random(seed)
 
     def draw_weight() -> int:

@@ -6,8 +6,11 @@ allowed to leak in.
 """
 from __future__ import annotations
 
+import heapq
+
 from .graph import Graph, build_graph
 from .spdag import SpDag
+from .sssp import DistLabels
 from .zigzag import BackwardCandidate, CoreContext
 
 DEFAULT_PATH_CAP = 200_000
@@ -65,6 +68,58 @@ def oracle_next_to_shortest(g: Graph, s: int, t: int, cap: int = DEFAULT_PATH_CA
     if len(lengths) < 2:
         return None
     return lengths[1]
+
+
+def oracle_shortest_path_tree(g: Graph, dist: list[int], root: int) -> list[int]:
+    """Parent array of the shortest-path tree, rebuilt in a second pass.
+
+    Vertices settle in (distance, id) order over tight edges only, and each
+    takes its smallest-id settled tight neighbour as parent.
+    """
+    parent = [-1] * g.n
+    settled = bytearray(g.n)
+    settled[root] = 1
+    heap: list[tuple[int, int]] = []
+    for nb, w, _ in g.adj[root]:
+        if dist[root] + w == dist[nb]:
+            heapq.heappush(heap, (dist[nb], nb))
+    while heap:
+        _, v = heapq.heappop(heap)
+        if settled[v]:
+            continue
+        for nb, w, _ in g.adj[v]:
+            if settled[nb] and dist[nb] + w == dist[v]:
+                parent[v] = nb
+                break
+        assert parent[v] >= 0
+        settled[v] = 1
+        for nb, w, _ in g.adj[v]:
+            if not settled[nb] and dist[v] + w == dist[nb]:
+                heapq.heappush(heap, (dist[nb], nb))
+    assert all(settled)
+    return parent
+
+
+def oracle_detour_candidates(
+    g: Graph, labels: DistLabels, spdag: SpDag, parent: list[int], anchor: list[int]
+) -> list[tuple[int, int, int, int]]:
+    """Every scored (f, x, y, w) crossing of a usable edge, both directions,
+    sorted.  Usable: off the core, off the tree, endpoints under different
+    anchors."""
+    tree_pairs = set()
+    for v, p in enumerate(parent):
+        if p >= 0:
+            tree_pairs.add((p, v) if p < v else (v, p))
+    out: list[tuple[int, int, int, int]] = []
+    for ei, (u, v, w) in enumerate(g.edges):
+        if spdag.core_edge[ei] or (u, v) in tree_pairs:
+            continue
+        if anchor[u] == anchor[v]:
+            continue
+        out.append((labels.from_s[u] + w + labels.to_t[v], u, v, w))
+        out.append((labels.from_s[v] + w + labels.to_t[u], v, u, w))
+    out.sort()
+    return out
 
 
 def oracle_immediate_dominator(n: int, succ: list[list[int]], root: int, v: int) -> int:

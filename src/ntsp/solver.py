@@ -13,7 +13,8 @@ from .detour import anchor_array, detour_candidates, shortest_detour
 from .dominators import core_dominator_trees
 from .graph import Graph, GraphError
 from .spdag import SpDag, build_core
-from .sssp import DistLabels, distance_labels, shortest_path_tree
+from .sssp import DistLabels, dijkstra, shortest_path_tree
+from .sssp import distance_labels  # noqa: F401  perfbench wraps ntsp.solver.distance_labels
 from .zerostruct import build_cluster_dag, zero_clusters
 from .zigzag import CoreContext, zigzag_shortest
 
@@ -41,10 +42,13 @@ def validate_query(g: Graph, s: int, t: int) -> None:
         raise QueryError("query endpoints must differ")
 
 
-def distance_stage(g: Graph, s: int, t: int) -> tuple[DistLabels, list[int]]:
-    labels = distance_labels(g, s, t)
-    parent = shortest_path_tree(g, labels.from_s, s)
-    return labels, parent
+def distance_stage(g: Graph, s: int, t: int) -> tuple[DistLabels, list[int], list[int]]:
+    """Both distance labelings plus the s-side tree (parent, parent_edge),
+    taken from the same heap pass as from_s."""
+    from_s, parent, parent_edge = shortest_path_tree(g, s)
+    to_t = dijkstra(g, t)
+    labels = DistLabels(source=s, target=t, from_s=from_s, to_t=to_t, shortest=from_s[t])
+    return labels, parent, parent_edge
 
 
 def structure_stage(g: Graph, labels: DistLabels):
@@ -56,10 +60,10 @@ def structure_stage(g: Graph, labels: DistLabels):
 
 
 def crossing_stage(
-    g: Graph, labels: DistLabels, spdag: SpDag, parent: list[int]
+    g: Graph, labels: DistLabels, spdag: SpDag, parent: list[int], parent_edge: list[int]
 ) -> tuple[list[int], tuple[int, int, int] | None]:
     """Anchors plus the cheapest usable crossing, scanned but not expanded."""
-    anchor = anchor_array(g, spdag, parent)
+    anchor = anchor_array(g, spdag, parent, parent_edge)
     cands = detour_candidates(g, labels, spdag, parent, anchor)
     best = (cands[0][0], cands[0][1], cands[0][2]) if cands else None
     return anchor, best
@@ -76,10 +80,10 @@ def build_core_context(g: Graph, labels: DistLabels) -> CoreContext:
 
 def next_to_shortest(g: Graph, s: int, t: int) -> NtspResult:
     validate_query(g, s, t)
-    labels, parent = distance_stage(g, s, t)
+    labels, parent, parent_edge = distance_stage(g, s, t)
     ctx = build_core_context(g, labels)
     zig = zigzag_shortest(ctx)
-    anchor = anchor_array(g, ctx.spdag, parent)
+    anchor = anchor_array(g, ctx.spdag, parent, parent_edge)
     det = shortest_detour(g, labels, ctx.spdag, parent, anchor)
     pick: tuple[int, list[int], str] | None = None
     if det is not None:

@@ -10,6 +10,7 @@ which every directed path from u to v has length from_s[v] - from_s[u].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .graph import Graph
 from .sssp import DistLabels
@@ -22,7 +23,9 @@ class SpDag:
     arcs hold (u, v, w) with w > 0 and from_s[v] = from_s[u] + w; zero_edges
     hold (u, v) with u < v and equal levels.  succ_all/pred_all expand each
     zero edge into both directions, which is the digraph used for dominator
-    computations and monotone searches.
+    computations and monotone searches.  The five adjacency rows are built
+    for core vertices only; the row of a vertex outside the core is the
+    shared empty tuple.
     """
 
     n: int
@@ -174,14 +177,13 @@ def trim_off_path_components(
 def orient_core(g: Graph, labels: DistLabels, core_v: list[bool], core_e: list[bool]) -> SpDag:
     """Package the trimmed structure with positive arcs pointing toward t."""
     from_s = labels.from_s
+    core = [v for v in range(g.n) if core_v[v]]
     arcs: list[tuple[int, int, int]] = []
     zero_edges: list[tuple[int, int]] = []
-    succ_pos: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    pred_pos: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    zero_adj: list[list[int]] = [[] for _ in range(g.n)]
-    for idx, (u, v, w) in enumerate(g.edges):
-        if not core_e[idx]:
-            continue
+    succ_pos: dict[int, list[tuple[int, int]]] = {v: [] for v in core}
+    pred_pos: dict[int, list[tuple[int, int]]] = {v: [] for v in core}
+    zero_adj: dict[int, list[int]] = {v: [] for v in core}
+    for u, v, w in compress(g.edges, core_e):
         if w == 0:
             zero_edges.append((u, v))
             zero_adj[u].append(v)
@@ -192,14 +194,14 @@ def orient_core(g: Graph, labels: DistLabels, core_v: list[bool], core_e: list[b
         arcs.append((u, v, w))
         succ_pos[u].append((v, w))
         pred_pos[v].append((u, w))
-    succ_all: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    pred_all: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for v in range(g.n):
-        succ_all[v] = sorted(succ_pos[v] + [(z, 0) for z in zero_adj[v]])
-        pred_all[v] = sorted(pred_pos[v] + [(z, 0) for z in zero_adj[v]])
-        succ_pos[v].sort()
-        pred_pos[v].sort()
-        zero_adj[v].sort()
+    sp_rows, pp_rows, za_rows, sa_rows, pa_rows = ([()] * g.n for _ in range(5))
+    for v in core:
+        zeros = [(z, 0) for z in zero_adj[v]]
+        sa_rows[v] = tuple(sorted(succ_pos[v] + zeros))
+        pa_rows[v] = tuple(sorted(pred_pos[v] + zeros))
+        sp_rows[v] = tuple(sorted(succ_pos[v]))
+        pp_rows[v] = tuple(sorted(pred_pos[v]))
+        za_rows[v] = tuple(sorted(zero_adj[v]))
     return SpDag(
         n=g.n,
         source=labels.source,
@@ -208,11 +210,11 @@ def orient_core(g: Graph, labels: DistLabels, core_v: list[bool], core_e: list[b
         core_edge=tuple(core_e),
         arcs=tuple(sorted(arcs)),
         zero_edges=tuple(sorted(zero_edges)),
-        succ_pos=tuple(tuple(x) for x in succ_pos),
-        pred_pos=tuple(tuple(x) for x in pred_pos),
-        zero_adj=tuple(tuple(x) for x in zero_adj),
-        succ_all=tuple(tuple(x) for x in succ_all),
-        pred_all=tuple(tuple(x) for x in pred_all),
+        succ_pos=tuple(sp_rows),
+        pred_pos=tuple(pp_rows),
+        zero_adj=tuple(za_rows),
+        succ_all=tuple(sa_rows),
+        pred_all=tuple(pa_rows),
         level=tuple(labels.from_s),
     )
 

@@ -1,4 +1,8 @@
-"""Single-source shortest paths and the deterministic shortest-path tree."""
+"""Single-source shortest paths and the deterministic shortest-path tree.
+
+One heap loop, `shortest_path_tree`, yields the distances and the tree
+together; `dijkstra` and `distance_labels` read their distances off it.
+"""
 from __future__ import annotations
 
 import heapq
@@ -10,56 +14,50 @@ from .graph import Graph
 INF = float("inf")
 
 
-def dijkstra(g: Graph, root: int) -> list[int]:
-    """Distance from root to every vertex.  Weights are nonnegative ints."""
-    dist: list[int | float] = [INF] * g.n
-    dist[root] = 0
-    done = bytearray(g.n)
-    heap: list[tuple[int, int]] = [(0, root)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = 1
-        for nb, w, _ in g.adj[v]:
-            nd = d + w
-            if nd < dist[nb]:
-                dist[nb] = nd
-                heapq.heappush(heap, (nd, nb))
-    # connected input: every vertex is reached
-    return dist  # type: ignore[return-value]
+def shortest_path_tree(g: Graph, root: int) -> tuple[list[int], list[int], list[int]]:
+    """Distances from root plus a shortest-path tree: (dist, parent, parent_edge).
 
-
-def shortest_path_tree(g: Graph, dist: list[int], root: int) -> list[int]:
-    """Parent array of a shortest-path tree rooted at root.
-
-    Vertices settle in (distance, id) order and take their smallest-id
-    settled tight neighbor as parent.  Settling keeps the parent chain
-    acyclic even across zero-weight ties, and the result is a pure
-    function of the graph.
+    One Dijkstra pass.  Vertices settle in heap order by (distance, id), and
+    each takes its smallest-id settled tight neighbour as parent: a relaxation to
+    an equal distance keeps the smaller parent id, and a settled vertex is
+    never re-parented, so the chain stays acyclic across zero-weight ties.
+    parent_edge[v] is the index of the edge {parent[v], v}; both arrays hold
+    -1 at the root.  Weights are nonnegative ints; heap keys are the ints
+    d * n + v, which order like (d, v).
     """
-    parent = [-1] * g.n
-    settled = bytearray(g.n)
-    settled[root] = 1
-    heap: list[tuple[int, int]] = []
-    for nb, w, _ in g.adj[root]:
-        if dist[root] + w == dist[nb]:
-            heapq.heappush(heap, (dist[nb], nb))
+    n = g.n
+    adj = g.adj
+    dist: list[int | float] = [INF] * n
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    done = bytearray(n)
+    dist[root] = 0
+    heap = [root]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        _, v = heapq.heappop(heap)
-        if settled[v]:
+        u = pop(heap) % n
+        if done[u]:
             continue
-        for nb, w, _ in g.adj[v]:
-            if settled[nb] and dist[nb] + w == dist[v]:
-                parent[v] = nb
-                break
-        assert parent[v] >= 0
-        settled[v] = 1
-        for nb, w, _ in g.adj[v]:
-            if not settled[nb] and dist[v] + w == dist[nb]:
-                heapq.heappush(heap, (dist[nb], nb))
-    assert all(settled)
-    return parent
+        done[u] = 1
+        d = dist[u]
+        for v, w, ei in adj[u]:
+            nd = d + w
+            dv = dist[v]
+            if nd < dv:
+                dist[v] = nd
+                parent[v] = u
+                parent_edge[v] = ei
+                push(heap, nd * n + v)
+            elif nd == dv and u < parent[v] and not done[v]:
+                parent[v] = u
+                parent_edge[v] = ei
+    # connected input: every vertex is reached
+    return dist, parent, parent_edge  # type: ignore[return-value]
+
+
+def dijkstra(g: Graph, root: int) -> list[int]:
+    """Distance from root to every vertex."""
+    return shortest_path_tree(g, root)[0]
 
 
 @dataclass(frozen=True)

@@ -79,3 +79,24 @@ def corpus(
             continue
         out.append((g, s, t))
     return out
+
+
+def zgrid(k: int, p: float, seed: int = 1) -> Graph:
+    """Unit k-by-k grid plus each zero edge (r, c)-(r+1, c-1) with probability p.
+
+    Vertex r*k + c sits at level r + c from the corner 0, and both ends of a
+    zero edge share a level, so the corner-to-corner query keeps the whole
+    grid as its core, cut into zero clusters of many sizes.
+    """
+    rng = random.Random(seed)
+    edges = []
+    for r in range(k):
+        for c in range(k):
+            v = r * k + c
+            if c + 1 < k:
+                edges.append((v, v + 1, 1))
+            if r + 1 < k:
+                edges.append((v, v + k, 1))
+                if c > 0 and rng.random() < p:
+                    edges.append((v, v + k - 1, 0))
+    return build_graph(k * k, edges)

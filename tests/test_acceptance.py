@@ -6,7 +6,9 @@ asserts, so a red run still prints the full picture at the end.
 from __future__ import annotations
 
 import gc
+import math
 import random
+import sys
 import time
 import tracemalloc
 from functools import partial
@@ -17,7 +19,7 @@ from scipy.sparse.csgraph import maximum_flow
 
 import ntsp.cli as cli
 from conftest import record_criterion
-from graphcases import EXPECTED, NAMED, corpus, named_graph
+from graphcases import EXPECTED, NAMED, corpus, named_graph, zgrid
 from ntsp.dominators import core_dominator_trees
 from ntsp.graph import build_graph, random_graph, serialize_graph
 from ntsp.oracle import (
@@ -264,9 +266,9 @@ def interleaved_best(small, big, passes):
     return attempts, worst
 
 
-def run_pipeline(g, labels, parent) -> None:
+def run_pipeline(g, labels, parent, parent_edge) -> None:
     spdag, _, _, _ = structure_stage(g, labels)
-    crossing_stage(g, labels, spdag, parent)
+    crossing_stage(g, labels, spdag, parent, parent_edge)
 
 
 def test_criterion_6_near_linear_scaling():
@@ -275,8 +277,8 @@ def test_criterion_6_near_linear_scaling():
     worst = 0.0
     for n in sizes:
         g = random_graph(n, 4 * n, 8, 0.2, seed=1)
-        labels, parent = distance_stage(g, 0, n - 1)  # sssp runs untimed
-        runs.append(partial(run_pipeline, g, labels, parent))
+        labels, parent, parent_edge = distance_stage(g, 0, n - 1)  # sssp runs untimed
+        runs.append(partial(run_pipeline, g, labels, parent, parent_edge))
         worst = max(worst, timed(runs[-1]))  # warmup
     # every raw run stays under the hard cap regardless
     attempts, slowest = interleaved_best(*runs, lambda small, big: big / small <= 2.6)
@@ -357,3 +359,56 @@ def test_criterion_8_wide_core_scaling():
         f"{peaks[1]:.1f} MiB, x{growth:.2f}",
     )
     assert ok, (attempts, ratio, peaks)
+
+
+class WorkBudgetExceeded(Exception):
+    """A traced query executed more lines than its budget allows."""
+
+
+def executed_lines(g, s, t, budget: float = math.inf) -> int:
+    """Python line events of one whole query, stopping once past budget."""
+    count = 0
+
+    def on_line(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+            if count > budget:
+                raise WorkBudgetExceeded
+        return on_line
+
+    sys.settrace(lambda frame, event, arg: on_line)
+    try:
+        next_to_shortest(g, s, t)
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def test_criterion_9_work_per_size():
+    # executed lines are exact and repeatable where wall time is noisy;
+    # per unit of n + m they must stay flat as each family grows
+    bound = 1.10
+    families = {
+        "unit grid k=32->128": [(unit_grid(k), 0, k * k - 1) for k in (32, 128)],
+        "zgrid p=0.3 k=32->128": [(zgrid(k, 0.3), 0, k * k - 1) for k in (32, 128)],
+        "random zp=0.2 n=4096->16384": [
+            (random_graph(n, 4 * n, 8, 0.2, seed=1), 0, n - 1) for n in (4096, 16384)
+        ],
+    }
+    notes = []
+    ok = True
+    for name, (small, big) in families.items():
+        small_rate = executed_lines(*small) / (small[0].n + small[0].m)
+        big_size = big[0].n + big[0].m
+        try:
+            big_rate = executed_lines(*big, budget=bound * small_rate * big_size) / big_size
+            ratio = big_rate / small_rate
+            got = f"{big_rate:.1f} lines/(n+m), ratio {ratio:.2f}"
+        except WorkBudgetExceeded:
+            ratio = math.inf
+            got = f"stopped past {bound * small_rate:.1f} lines/(n+m), ratio > {bound:.2f}"
+        ok = ok and ratio <= bound
+        notes.append(f"{name} {small_rate:.1f} -> {got}")
+    record_criterion(9, ok, "; ".join(notes))
+    assert ok, notes

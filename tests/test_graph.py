@@ -129,3 +129,12 @@ def test_random_graph_rejects_infeasible():
         random_graph(4, 7, 3, 0.0, seed=0)  # above complete graph
     with pytest.raises(InfeasibleSpecError):
         random_graph(0, 0, 3, 0.0, seed=0)
+
+
+def test_random_graph_rejects_bad_weight_spec():
+    for max_w in (0, -1):
+        with pytest.raises(InfeasibleSpecError):
+            random_graph(4, 4, max_w, 0.5, seed=0)
+    for zp in (-0.1, 1.5):
+        with pytest.raises(InfeasibleSpecError):
+            random_graph(4, 4, 3, zp, seed=0)

@@ -3,8 +3,12 @@ from __future__ import annotations
 
 import random
 
-from graphcases import named_graph
+from graphcases import corpus, named_graph
+from ntsp.detour import anchor_array, detour_candidates
 from ntsp.graph import random_graph
+from ntsp.oracle import oracle_detour_candidates, oracle_shortest_path_tree
+from ntsp.solver import distance_stage
+from ntsp.spdag import build_core
 from ntsp.sssp import dijkstra, distance_labels, shortest_path_tree, tree_path
 
 
@@ -54,12 +58,12 @@ def test_distance_labels_agree_both_ways():
 
 def test_tree_known_parents():
     g, s, _ = named_graph("chain")
-    assert shortest_path_tree(g, dijkstra(g, s), s) == [-1, 0, 1]
+    assert shortest_path_tree(g, s)[1] == [-1, 0, 1]
     g, s, _ = named_graph("tri")
-    assert shortest_path_tree(g, dijkstra(g, s), s) == [-1, 0, 0]
+    assert shortest_path_tree(g, s)[1] == [-1, 0, 0]
     # both tight parents are available for t; the smaller settled id wins
     g, s, _ = named_graph("quad0")
-    assert shortest_path_tree(g, dijkstra(g, s), s) == [-1, 0, 0, 1]
+    assert shortest_path_tree(g, s)[1] == [-1, 0, 0, 1]
 
 
 def test_tree_parents_are_tight_and_acyclic():
@@ -69,8 +73,8 @@ def test_tree_parents_are_tight_and_acyclic():
         m = rng.randint(n - 1, n * (n - 1) // 2)
         g = random_graph(n, m, 3, 0.5, seed=rng.randrange(1 << 20))
         root = rng.randrange(n)
-        dist = dijkstra(g, root)
-        parent = shortest_path_tree(g, dist, root)
+        dist, parent, _ = shortest_path_tree(g, root)
+        assert dist == dijkstra(g, root)
         assert parent[root] == -1
         for v in range(n):
             if v == root:
@@ -86,5 +90,37 @@ def test_tree_parents_are_tight_and_acyclic():
 
 def test_tree_is_deterministic():
     g = random_graph(8, 14, 2, 0.6, seed=9)
-    dist = dijkstra(g, 0)
-    assert shortest_path_tree(g, dist, 0) == shortest_path_tree(g, dist, 0)
+    assert shortest_path_tree(g, 0) == shortest_path_tree(g, 0)
+
+
+def tree_instances():
+    """corpus(5000) plus 20,000 seeded instances at n=2..40."""
+    yield from corpus(5000)
+    rng = random.Random(31)
+    for _ in range(20_000):
+        n = rng.randint(2, 40)
+        m = rng.randint(n - 1, min(2 * n, n * (n - 1) // 2))
+        max_w = rng.choice((1, 2, 5))
+        zp = rng.choice((0.0, 0.3, 0.5, 0.7, 0.9))
+        g = random_graph(n, m, max_w, zp, seed=rng.randrange(1 << 30))
+        s, t = rng.sample(range(n), 2)
+        yield g, s, t
+
+
+def test_one_pass_tree_and_scan_match_references():
+    checked = ties = 0
+    for g, s, t in tree_instances():
+        labels, parent, parent_edge = distance_stage(g, s, t)
+        assert parent == oracle_shortest_path_tree(g, labels.from_s, s), (g, s)
+        for v in range(g.n):
+            if v != s:
+                assert parent_edge[v] == g.edge_index(parent[v], v)
+        spdag = build_core(g, labels)
+        anchor = anchor_array(g, spdag, parent, parent_edge)
+        full = oracle_detour_candidates(g, labels, spdag, parent, anchor)
+        prefix = [c for c in full if c[0] == full[0][0]]
+        assert detour_candidates(g, labels, spdag, parent, anchor) == prefix, (g, s, t)
+        checked += 1
+        ties += len(prefix) > 1
+    assert checked == 25_000
+    assert ties > 100  # the tie order is exercised, not just the minimum
