@@ -2,26 +2,19 @@
 
 Exit codes: 0 solved (including a "none" answer), 1 usage problems,
 2 unreadable or invalid input (for gen: an infeasible spec or an
-unwritable output file), 3 answer rejected by --check, 4 an internal
-solver error (a bug, reported in one line).
+unwritable output file; for oracle and solve --check: more simple s-t
+paths than the exhaustive search enumerates), 3 answer rejected by
+--check, 4 an internal solver error (a bug, reported in one line).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-import time
 
 from .graph import GraphError, parse_graph, random_graph, serialize_graph
-from .oracle import oracle_next_to_shortest
-from .solver import (
-    NtspResult,
-    QueryError,
-    crossing_stage,
-    distance_stage,
-    next_to_shortest,
-    structure_stage,
-)
+from .oracle import PathCapExceeded, oracle_next_to_shortest
+from .solver import NtspResult, QueryError, next_to_shortest
 from .sssp import distance_labels
 
 
@@ -167,34 +160,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _parse_sizes(raw: str) -> list[int]:
-    try:
-        sizes = [int(x) for x in raw.split(",") if x]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad size list {raw!r}") from None
-    if not sizes or any(n < 2 for n in sizes):
-        raise argparse.ArgumentTypeError(f"bad size list {raw!r}")
-    return sizes
-
-
-def _cmd_bench(args) -> int:
-    print(f"{'n':>9} {'m':>9} {'stage':<10} {'seconds':>8}")
-    for n in args.sizes:
-        g = random_graph(n, 4 * n, args.max_weight, args.zero_prob, args.seed)
-        s, t = 0, g.n - 1
-        t0 = time.perf_counter()
-        labels, parent, parent_edge = distance_stage(g, s, t)
-        t1 = time.perf_counter()
-        spdag, _, _, _ = structure_stage(g, labels)
-        t2 = time.perf_counter()
-        crossing_stage(g, labels, spdag, parent, parent_edge)
-        t3 = time.perf_counter()
-        rows = (("distances", t1 - t0), ("structure", t2 - t1), ("crossings", t3 - t2))
-        for stage, secs in rows:
-            print(f"{g.n:>9} {g.m:>9} {stage:<10} {secs:>8.3f}")
-    return 0
-
-
 def _add_query_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("path_pos", nargs="?", metavar="file", help="input file (default: stdin)")
     p.add_argument("-s", "--source", type=int, required=True, help="source vertex id")
@@ -225,20 +190,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_gen, parser=p)
 
-    p = sub.add_parser("bench", help="time the pipeline stages on random instances")
-    p.add_argument("--sizes", type=_parse_sizes, default=[1 << 14], help="comma-separated n values")
-    p.add_argument("--max-weight", type=int, default=8)
-    p.add_argument("--zero-prob", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_bench, parser=p)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except PathCapExceeded as exc:  # oracle and solve --check
+        print(f"ntsp: too large for exhaustive search: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

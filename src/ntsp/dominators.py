@@ -17,15 +17,12 @@ class UnreachableVertexError(ValueError):
 class DomTree:
     """Dominator tree plus preorder intervals for ancestor queries.
 
-    direction records which endpoint the walks emanate from ("from_s" or
-    "to_t"); host records which digraph was analyzed ("core" for the oriented
-    shortest-path structure, "clusters" for its contraction).  idom[root] is
-    -1, as is idom of any vertex outside the analyzed set.
+    The same type serves the core (rooted at s over the arcs, or at t over
+    the reversed arcs) and the cluster DAG.  idom[root] is -1, as is idom of
+    any vertex outside the analyzed set.
     """
 
     root: int
-    direction: str
-    host: str
     idom: list[int]
     tin: list[int] = field(repr=False)
     tout: list[int] = field(repr=False)
@@ -43,8 +40,6 @@ def immediate_dominators(
     succ: list[list[int]] | tuple,
     root: int,
     active: list[int],
-    direction: str,
-    host: str,
 ) -> DomTree:
     """Dominator tree of the digraph given by succ, rooted at root.
 
@@ -144,7 +139,7 @@ def immediate_dominators(
         walk.append((v, True))
         for c in reversed(children[v]):
             walk.append((c, False))
-    return DomTree(root=root, direction=direction, host=host, idom=idom, tin=tin, tout=tout)
+    return DomTree(root=root, idom=idom, tin=tin, tout=tout)
 
 
 def core_dominator_trees(spdag) -> tuple[DomTree, DomTree]:
@@ -156,6 +151,6 @@ def core_dominator_trees(spdag) -> tuple[DomTree, DomTree]:
     for v in active:
         succ[v] = [nb for nb, _ in spdag.succ_all[v]]
         pred[v] = [nb for nb, _ in spdag.pred_all[v]]
-    ts = immediate_dominators(spdag.n, succ, spdag.source, active, "from_s", "core")
-    tt = immediate_dominators(spdag.n, pred, spdag.target, active, "to_t", "core")
+    ts = immediate_dominators(spdag.n, succ, spdag.source, active)
+    tt = immediate_dominators(spdag.n, pred, spdag.target, active)
     return ts, tt

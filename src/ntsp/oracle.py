@@ -11,9 +11,14 @@ import heapq
 from .graph import Graph, build_graph
 from .spdag import SpDag
 from .sssp import DistLabels
+from .zerostruct import ClusterDag
 from .zigzag import BackwardCandidate, CoreContext
 
 DEFAULT_PATH_CAP = 200_000
+
+
+class PathCapExceeded(RuntimeError):
+    """More simple s-t paths than the exhaustive search may enumerate."""
 
 
 def enumerate_simple_st_paths(
@@ -63,7 +68,8 @@ def path_length(g: Graph, path: list[int]) -> int:
 def oracle_next_to_shortest(g: Graph, s: int, t: int, cap: int = DEFAULT_PATH_CAP) -> int | None:
     """Minimum length of a simple s-t path strictly longer than the shortest."""
     paths, truncated = enumerate_simple_st_paths(g, s, t, cap)
-    assert not truncated, "instance too large for exhaustive reference"
+    if truncated:
+        raise PathCapExceeded(f"more than {cap} simple s-t paths")
     lengths = sorted({path_length(g, p) for p in paths})
     if len(lengths) < 2:
         return None
@@ -193,7 +199,8 @@ def oracle_backward_pairs(g: Graph, spdag: SpDag, cap: int = DEFAULT_PATH_CAP) -
     core_only = [e for i, e in enumerate(g.edges) if spdag.core_edge[i]]
     sub = build_graph(g.n, core_only)
     paths, truncated = enumerate_simple_st_paths(sub, s, t, cap)
-    assert not truncated
+    if truncated:
+        raise PathCapExceeded(f"more than {cap} simple s-t paths in the core")
     found: set[tuple[int, int]] = set()
     for p in paths:
         kinds = [_step_kind(spdag, a, b) for a, b in zip(p, p[1:])]
@@ -273,6 +280,24 @@ def oracle_zero_clusters(spdag: SpDag, idom_s: list[int], idom_t: list[int]) -> 
     return out
 
 
+def cluster_topo_order(dag: ClusterDag) -> list[int]:
+    """Clusters in topological order, smallest id first among the ready ones.
+
+    Shorter than dag.count exactly when the arcs hold a cycle.
+    """
+    indeg = [len(p) for p in dag.pred]
+    heap = [c for c in range(dag.count) if indeg[c] == 0]
+    order: list[int] = []
+    while heap:
+        c = heapq.heappop(heap)
+        order.append(c)
+        for b, _, _, _ in dag.succ[c]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                heapq.heappush(heap, b)
+    return order
+
+
 def oracle_open_pair(ctx: CoreContext) -> BackwardCandidate | None:
     """Smallest (delta, comp_x, comp_y) open pair by scanning all cluster pairs.
 
@@ -282,7 +307,7 @@ def oracle_open_pair(ctx: CoreContext) -> BackwardCandidate | None:
     """
     dag = ctx.dag
     reach = [0] * dag.count
-    for c in reversed(dag.topo):
+    for c in reversed(cluster_topo_order(dag)):
         bits = 1 << c
         for b, _, _, _ in dag.succ[c]:
             bits |= reach[b]

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detour import anchor_array, detour_candidates, shortest_detour
+from .detour import anchor_array, shortest_detour
 from .dominators import core_dominator_trees
 from .graph import Graph, GraphError
-from .spdag import SpDag, build_core
+from .spdag import build_core
 from .sssp import DistLabels, dijkstra, shortest_path_tree
 from .sssp import distance_labels  # noqa: F401  perfbench wraps ntsp.solver.distance_labels
 from .zerostruct import build_cluster_dag, zero_clusters
@@ -59,23 +59,10 @@ def structure_stage(g: Graph, labels: DistLabels):
     return spdag, ts, tt, partition
 
 
-def crossing_stage(
-    g: Graph, labels: DistLabels, spdag: SpDag, parent: list[int], parent_edge: list[int]
-) -> tuple[list[int], tuple[int, int, int] | None]:
-    """Anchors plus the cheapest usable crossing, scanned but not expanded."""
-    anchor = anchor_array(g, spdag, parent, parent_edge)
-    cands = detour_candidates(g, labels, spdag, parent, anchor)
-    best = (cands[0][0], cands[0][1], cands[0][2]) if cands else None
-    return anchor, best
-
-
 def build_core_context(g: Graph, labels: DistLabels) -> CoreContext:
     spdag, ts, tt, partition = structure_stage(g, labels)
-    dag = build_cluster_dag(spdag, partition, ts, tt)
-    return CoreContext(
-        graph=g, labels=labels, spdag=spdag, ts=ts, tt=tt,
-        partition=partition, dag=dag,
-    )
+    dag = build_cluster_dag(spdag, partition)
+    return CoreContext(labels=labels, spdag=spdag, ts=ts, tt=tt, partition=partition, dag=dag)
 
 
 def next_to_shortest(g: Graph, s: int, t: int) -> NtspResult:

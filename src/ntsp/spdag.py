@@ -21,9 +21,11 @@ class SpDag:
     """Trimmed shortest-path structure with positive edges oriented away from s.
 
     arcs hold (u, v, w) with w > 0 and from_s[v] = from_s[u] + w; zero_edges
-    hold (u, v) with u < v and equal levels.  succ_all/pred_all expand each
-    zero edge into both directions, which is the digraph used for dominator
-    computations and monotone searches.  The five adjacency rows are built
+    hold (u, v) with u < v and equal levels.  succ_all and pred_all are the
+    one adjacency format: row v lists (neighbour, weight) sorted, the arcs
+    out of v (into v for pred_all) plus every zero edge at v as a weight-0
+    step, so each zero edge appears in both directions.  That is the digraph
+    used for dominator computations and monotone searches.  Rows are built
     for core vertices only; the row of a vertex outside the core is the
     shared empty tuple.
     """
@@ -35,9 +37,6 @@ class SpDag:
     core_edge: tuple[bool, ...]
     arcs: tuple[tuple[int, int, int], ...]
     zero_edges: tuple[tuple[int, int], ...]
-    succ_pos: tuple[tuple[tuple[int, int], ...], ...]
-    pred_pos: tuple[tuple[tuple[int, int], ...], ...]
-    zero_adj: tuple[tuple[int, ...], ...]
     succ_all: tuple[tuple[tuple[int, int], ...], ...]
     pred_all: tuple[tuple[tuple[int, int], ...], ...]
     level: tuple[int, ...]
@@ -180,28 +179,26 @@ def orient_core(g: Graph, labels: DistLabels, core_v: list[bool], core_e: list[b
     core = [v for v in range(g.n) if core_v[v]]
     arcs: list[tuple[int, int, int]] = []
     zero_edges: list[tuple[int, int]] = []
-    succ_pos: dict[int, list[tuple[int, int]]] = {v: [] for v in core}
-    pred_pos: dict[int, list[tuple[int, int]]] = {v: [] for v in core}
-    zero_adj: dict[int, list[int]] = {v: [] for v in core}
+    succ: dict[int, list[tuple[int, int]]] = {v: [] for v in core}
+    pred: dict[int, list[tuple[int, int]]] = {v: [] for v in core}
     for u, v, w in compress(g.edges, core_e):
         if w == 0:
             zero_edges.append((u, v))
-            zero_adj[u].append(v)
-            zero_adj[v].append(u)
+            succ[u].append((v, 0))
+            pred[u].append((v, 0))
+            succ[v].append((u, 0))
+            pred[v].append((u, 0))
             continue
         if from_s[u] > from_s[v]:
             u, v = v, u
         arcs.append((u, v, w))
-        succ_pos[u].append((v, w))
-        pred_pos[v].append((u, w))
-    sp_rows, pp_rows, za_rows, sa_rows, pa_rows = ([()] * g.n for _ in range(5))
+        succ[u].append((v, w))
+        pred[v].append((u, w))
+    succ_all: list = [()] * g.n
+    pred_all: list = [()] * g.n
     for v in core:
-        zeros = [(z, 0) for z in zero_adj[v]]
-        sa_rows[v] = tuple(sorted(succ_pos[v] + zeros))
-        pa_rows[v] = tuple(sorted(pred_pos[v] + zeros))
-        sp_rows[v] = tuple(sorted(succ_pos[v]))
-        pp_rows[v] = tuple(sorted(pred_pos[v]))
-        za_rows[v] = tuple(sorted(zero_adj[v]))
+        succ_all[v] = tuple(sorted(succ[v]))
+        pred_all[v] = tuple(sorted(pred[v]))
     return SpDag(
         n=g.n,
         source=labels.source,
@@ -210,11 +207,8 @@ def orient_core(g: Graph, labels: DistLabels, core_v: list[bool], core_e: list[b
         core_edge=tuple(core_e),
         arcs=tuple(sorted(arcs)),
         zero_edges=tuple(sorted(zero_edges)),
-        succ_pos=tuple(sp_rows),
-        pred_pos=tuple(pp_rows),
-        zero_adj=tuple(za_rows),
-        succ_all=tuple(sa_rows),
-        pred_all=tuple(pa_rows),
+        succ_all=tuple(succ_all),
+        pred_all=tuple(pred_all),
         level=tuple(labels.from_s),
     )
 

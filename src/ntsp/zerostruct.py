@@ -4,15 +4,16 @@ Zero edges that realize a dominator relation are severed and oriented; what
 survives groups into clusters whose members are mutually reachable without
 ever crossing one of their own dominators.  Contracting each cluster to a
 single node yields a DAG whose directed reachability is the precedence order
-the backward-pair search runs on.  Nothing here stores that order for all
-pairs: band_walk is the one search over the arcs, kept to a band of levels,
-and both a precedence test and the zigzag layer's walks are made of it.
+the backward-pair search runs on.  Nothing here stores that order, for all
+pairs or as a topological list; the contraction is only checked for a cycle.
+band_walk is the one search over the arcs, kept to a band of levels, and
+both a precedence test and the zigzag layer's walks are made of it.
 """
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 from .dominators import DomTree, immediate_dominators
 from .spdag import SpDag
@@ -121,15 +122,13 @@ class ClusterDag:
 
     Arcs carry (head, weight, witness_u, witness_v) where the witness is a
     core edge joining the two clusters; zero arcs come from severed edges.
-    topo lists the clusters in topological order (smallest id first among
-    the ready ones) and topo_index is its inverse.
+    The arcs are checked to be acyclic when built; no topological order is
+    kept (oracle.cluster_topo_order makes one for the tests).
     """
 
     count: int
     succ: tuple[tuple[tuple[int, int, int, int], ...], ...]
     pred: tuple[tuple[tuple[int, int, int, int], ...], ...]
-    topo: tuple[int, ...]
-    topo_index: tuple[int, ...]
     idom_s: DomTree
     idom_t: DomTree
     source_comp: int
@@ -167,69 +166,53 @@ def band_walk(
                 stack.append(c)
 
 
-def build_cluster_dag(spdag: SpDag, partition: ZeroPartition, ts: DomTree, tt: DomTree) -> ClusterDag:
+def build_cluster_dag(spdag: SpDag, partition: ZeroPartition) -> ClusterDag:
+    """Contract the core onto the partition; ClusterCycleError on a cycle."""
     comp = partition.comp
     count = partition.count
     arcs: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for u, v, w in spdag.arcs:
-        a, b = comp[u], comp[v]
-        key = (a, b)
+    for u, v, w in chain(spdag.arcs, ((u, v, 0) for u, v in partition.severed)):
+        key = (comp[u], comp[v])
         cur = arcs.get(key)
         if cur is None:
             arcs[key] = (w, u, v)
         else:
             assert cur[0] == w, "parallel cluster arcs must agree in weight"
             arcs[key] = min(cur, (w, u, v))
-    for u, v in partition.severed:
-        a, b = comp[u], comp[v]
-        key = (a, b)
-        cur = arcs.get(key)
-        if cur is None:
-            arcs[key] = (0, u, v)
-        else:
-            assert cur[0] == 0
-            arcs[key] = min(cur, (0, u, v))
 
     succ: list[list[tuple[int, int, int, int]]] = [[] for _ in range(count)]
     pred: list[list[tuple[int, int, int, int]]] = [[] for _ in range(count)]
-    indeg = [0] * count
     for (a, b), (w, u, v) in arcs.items():
         succ[a].append((b, w, u, v))
         pred[b].append((a, w, u, v))
-        indeg[b] += 1
     for lst in succ:
         lst.sort()
     for lst in pred:
         lst.sort()
 
-    heap = [c for c in range(count) if indeg[c] == 0]
-    heapq.heapify(heap)
-    topo: list[int] = []
-    while heap:
-        c = heapq.heappop(heap)
-        topo.append(c)
-        for b, _, _, _ in succ[c]:
+    # Kahn's count: every cluster leaves the ready stack iff there is no cycle
+    indeg = [len(p) for p in pred]
+    ready = [c for c in range(count) if indeg[c] == 0]
+    done = 0
+    while ready:
+        done += 1
+        for b, _, _, _ in succ[ready.pop()]:
             indeg[b] -= 1
             if indeg[b] == 0:
-                heapq.heappush(heap, b)
-    if len(topo) != count:
+                ready.append(b)
+    if done != count:
         raise ClusterCycleError("cluster contraction is cyclic")
-    topo_index = [0] * count
-    for i, c in enumerate(topo):
-        topo_index[c] = i
 
     active = list(range(count))
     succ_ids = [[b for b, _, _, _ in succ[c]] for c in range(count)]
     pred_ids = [[a for a, _, _, _ in pred[c]] for c in range(count)]
     sc, tc = comp[spdag.source], comp[spdag.target]
-    idom_s = immediate_dominators(count, succ_ids, sc, active, "from_s", "clusters")
-    idom_t = immediate_dominators(count, pred_ids, tc, active, "to_t", "clusters")
+    idom_s = immediate_dominators(count, succ_ids, sc, active)
+    idom_t = immediate_dominators(count, pred_ids, tc, active)
     return ClusterDag(
         count=count,
         succ=tuple(tuple(x) for x in succ),
         pred=tuple(tuple(x) for x in pred),
-        topo=tuple(topo),
-        topo_index=tuple(topo_index),
         idom_s=idom_s,
         idom_t=idom_t,
         source_comp=sc,

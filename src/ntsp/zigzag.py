@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 
 from .dominators import DomTree
-from .graph import Graph
 from .spdag import SpDag
 from .sssp import DistLabels, bfs_path
 from .zerostruct import (
@@ -41,7 +40,6 @@ KIND_RANK = {"open": 0, "pinned_both": 1, "pinned_s": 2, "pinned_t": 3}
 class CoreContext:
     """Everything the backward-pair machinery needs about one query."""
 
-    graph: Graph
     labels: DistLabels
     spdag: SpDag
     ts: DomTree
@@ -456,25 +454,18 @@ def build_candidate_network(ctx: CoreContext, cand: BackwardCandidate) -> Candid
     span.intersection_update(band_walk(dag, cy, lo, hi, True))
     for c in span:
         verts.update(partition.members[c])
-    succ_pos = spdag.succ_pos
+    rows = spdag.succ_all
     if cand.kind == "pinned_t":
-        cy, cx, succ_pos = cx, cy, spdag.pred_pos
+        cy, cx, rows = cx, cy, spdag.pred_all
     zy = frozenset(partition.members[cy])
     zx = frozenset(partition.members[cx])
 
-    h_succ: dict[int, list[int]] = {v: [] for v in verts}
+    # the span's steps, minus the zero steps inside one end cluster; rows
+    # are sorted by (nb, w), so every list comes out sorted
+    h_succ: dict[int, list[int]] = {}
     for v in verts:
-        for nb, _ in succ_pos[v]:
-            if nb in verts:
-                h_succ[v].append(nb)
-    for u, v in spdag.zero_edges:
-        if u in verts and v in verts:
-            if (u in zy and v in zy) or (u in zx and v in zx):
-                continue
-            h_succ[u].append(v)
-            h_succ[v].append(u)
-    for v in verts:
-        h_succ[v].sort()
+        own = zy if v in zy else zx if v in zx else ()
+        h_succ[v] = [nb for nb, w in rows[v] if nb in verts and (w or nb not in own)]
     h_edges = frozenset((a, b) for a in h_succ for b in h_succ[a])
 
     # interior components; narrow ones become unit-capacity corridor arcs
@@ -772,6 +763,9 @@ def _realize_open(ctx: CoreContext, cand: BackwardCandidate) -> list[int] | None
     if route is None:
         return None
     region = set(open_region(dag, cx, cand.delta))
+    # only clusters that reach cx can carry flow; kept sorted, they give the
+    # augmenting paths of a network over every cluster
+    feeders = sorted([cx, *band_walk(dag, cx, 0, dag.comp_level[cx], False)])
     picks = [
         i
         for i, c in enumerate(route)
@@ -782,7 +776,7 @@ def _realize_open(ctx: CoreContext, cand: BackwardCandidate) -> list[int] | None
         tail = route[i:]
         banned = set(tail[1:])
         net = endpoint_net(
-            [c for c in range(dag.count) if c not in banned],
+            [c for c in feeders if c not in banned],
             lambda c: (b for b, _, _, _ in dag.succ[c]),
             [(dag.source_comp, 1), (v, 1)],
             [(cx, 2)],
@@ -925,51 +919,29 @@ def _realize_pinned_s(
 def flipped_context(ctx: CoreContext) -> CoreContext:
     """The same core seen from t: arcs reversed, the dominator roles swapped.
 
-    Cluster structure is direction-free, so the partition carries over with
-    severed arcs reversed; the cluster dag is rebuilt on the reversed arcs.
+    The two adjacency rows and the two dominator trees trade places.  The
+    cluster dag is rebuilt on the reversed arcs rather than mirrored, so
+    its arc witnesses are the smallest reversed core edges.
     """
     sp, lb = ctx.spdag, ctx.labels
-    flabels = DistLabels(
-        source=lb.target,
-        target=lb.source,
-        from_s=lb.to_t,
-        to_t=lb.from_s,
-        shortest=lb.shortest,
-    )
-    fsp = SpDag(
-        n=sp.n,
+    flabels = replace(lb, source=lb.target, target=lb.source, from_s=lb.to_t, to_t=lb.from_s)
+    fsp = replace(
+        sp,
         source=sp.target,
         target=sp.source,
-        in_core=sp.in_core,
-        core_edge=sp.core_edge,
         arcs=tuple(sorted((v, u, w) for u, v, w in sp.arcs)),
-        zero_edges=sp.zero_edges,
-        succ_pos=sp.pred_pos,
-        pred_pos=sp.succ_pos,
-        zero_adj=sp.zero_adj,
         succ_all=sp.pred_all,
         pred_all=sp.succ_all,
         level=tuple(lb.to_t),
     )
-    fts = DomTree(
-        root=ctx.tt.root, direction="from_s", host="core",
-        idom=ctx.tt.idom, tin=ctx.tt.tin, tout=ctx.tt.tout,
-    )
-    ftt = DomTree(
-        root=ctx.ts.root, direction="to_t", host="core",
-        idom=ctx.ts.idom, tin=ctx.ts.tin, tout=ctx.ts.tout,
-    )
-    fpart = ZeroPartition(
-        comp=ctx.partition.comp,
-        members=ctx.partition.members,
+    fpart = replace(
+        ctx.partition,
         comp_level=tuple(flabels.from_s[m[0]] for m in ctx.partition.members),
         severed=tuple(sorted((v, u) for u, v in ctx.partition.severed)),
-        surviving_adj=ctx.partition.surviving_adj,
     )
-    fdag = build_cluster_dag(fsp, fpart, fts, ftt)
     return CoreContext(
-        graph=ctx.graph, labels=flabels, spdag=fsp, ts=fts, tt=ftt,
-        partition=fpart, dag=fdag,
+        labels=flabels, spdag=fsp, ts=ctx.tt, tt=ctx.ts,
+        partition=fpart, dag=build_cluster_dag(fsp, fpart),
     )
 
 

@@ -20,9 +20,11 @@ from scipy.sparse.csgraph import maximum_flow
 import ntsp.cli as cli
 from conftest import record_criterion
 from graphcases import EXPECTED, NAMED, corpus, named_graph, zgrid
+from ntsp.detour import anchor_array, detour_candidates
 from ntsp.dominators import core_dominator_trees
 from ntsp.graph import build_graph, random_graph, serialize_graph
 from ntsp.oracle import (
+    cluster_topo_order,
     enumerate_simple_st_paths,
     oracle_backward_pairs,
     oracle_immediate_dominator,
@@ -30,7 +32,7 @@ from ntsp.oracle import (
     oracle_zero_clusters,
     path_length,
 )
-from ntsp.solver import crossing_stage, distance_stage, next_to_shortest, structure_stage
+from ntsp.solver import distance_stage, next_to_shortest, structure_stage
 from ntsp.spdag import build_core
 from ntsp.sssp import distance_labels
 from ntsp.zerostruct import backward_feasible, build_cluster_dag, zero_clusters
@@ -105,7 +107,7 @@ def _structural_problems(g, s, t, rng_walks) -> str | None:
     spdag = build_core(g, labels)
     ts, tt = core_dominator_trees(spdag)
     partition = zero_clusters(spdag, ts, tt)
-    dag = build_cluster_dag(spdag, partition, ts, tt)
+    dag = build_cluster_dag(spdag, partition)
     level = spdag.level
 
     # core membership against enumeration, vertices and edges
@@ -138,9 +140,12 @@ def _structural_problems(g, s, t, rng_walks) -> str | None:
             return "cluster not level-flat"
 
     # contracted DAG: acyclic, weights rigid, zero arcs pinned by a dominator
+    topo_index = {c: i for i, c in enumerate(cluster_topo_order(dag))}
+    if len(topo_index) != dag.count:
+        return "cluster arcs close a cycle"
     for a in range(dag.count):
         for b, w, u, v in dag.succ[a]:
-            if dag.topo_index[a] >= dag.topo_index[b]:
+            if topo_index[a] >= topo_index[b]:
                 return "cluster arc against topo order"
             if dag.comp_level[b] - dag.comp_level[a] != w:
                 return "cluster arc weight"
@@ -267,8 +272,9 @@ def interleaved_best(small, big, passes):
 
 
 def run_pipeline(g, labels, parent, parent_edge) -> None:
+    # the structure and crossing-scan layers, without realization
     spdag, _, _, _ = structure_stage(g, labels)
-    crossing_stage(g, labels, spdag, parent, parent_edge)
+    detour_candidates(g, labels, spdag, parent, anchor_array(g, spdag, parent, parent_edge))
 
 
 def test_criterion_6_near_linear_scaling():
@@ -325,11 +331,11 @@ def unit_grid(k: int):
 
 
 def cluster_dag_peak_mib(g, s, t) -> float:
-    spdag, ts, tt, partition = structure_stage(g, distance_labels(g, s, t))
+    spdag, _, _, partition = structure_stage(g, distance_labels(g, s, t))
     gc.collect()
     tracemalloc.start()
     try:
-        build_cluster_dag(spdag, partition, ts, tt)
+        build_cluster_dag(spdag, partition)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()

@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import ntsp
 from graphcases import named_graph
 from ntsp.solver import build_core_context
 from ntsp.sssp import distance_labels
@@ -39,3 +40,16 @@ def test_counted_results_keep_their_shape():
     assert isinstance(pinned_candidate_pairs(ctx), list)
     fields = {f.name for f in dataclasses.fields(FlowOutcome)}
     assert {"ok", "rounds"} <= fields
+
+
+def test_traced_query_records_layer_spans():
+    # a --trace 1 run goes through these wrappers; a renamed or re-signed
+    # layer would raise or leave its span empty
+    tracing = load_tracing()
+    g, s, t = named_graph("tIII")
+    with tracing.Tracer() as tracer:
+        res = ntsp.next_to_shortest(g, s, t)
+    assert (res.kind, res.length) == ("zigzag", 5)
+    calls = tracer.totals()[0]
+    for span in ("spdag.build_core", "zerostruct.build_cluster_dag", "zigzag.best_backward_pair"):
+        assert calls[span] == 1, span

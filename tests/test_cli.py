@@ -1,12 +1,14 @@
 """Exercise the command line surface through cli.main."""
 from __future__ import annotations
 
+import functools
 import io
 
 import ntsp.cli as cli
 from graphcases import named_graph
 from ntsp.detour import RealizationExhausted
 from ntsp.graph import parse_graph, serialize_graph
+from ntsp.oracle import oracle_next_to_shortest
 
 
 def run(argv):
@@ -124,6 +126,20 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert capsys.readouterr().out == "none (shortest 2)\n"
 
 
+def test_exhaustive_cap_exit_two(tmp_path, capsys, monkeypatch):
+    # tII has more than two simple s-t paths, so a cap of 2 truncates
+    capped = functools.partial(oracle_next_to_shortest, cap=2)
+    monkeypatch.setattr(cli, "oracle_next_to_shortest", capped)
+    path, s, t = fixture_file(tmp_path, "tII")
+    for argv in (["oracle", path], ["solve", path, "--check"]):
+        assert run([*argv, "-s", str(s), "-t", str(t)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "ntsp: too large for exhaustive search: more than 2 simple s-t paths\n"
+        )
+
+
 def test_gen_deterministic_and_parseable(capsys):
     argv = ["gen", "--n", "12", "--m", "20", "--zero-prob", "0.3", "--seed", "7"]
     assert run(argv) == 0
@@ -160,18 +176,3 @@ def test_gen_unwritable_output_exit_two(tmp_path, capsys):
     assert run(["gen", "--n", "6", "--m", "8", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("ntsp: cannot write output: ") and err.count("\n") == 1
-
-
-def test_bench_table(capsys):
-    assert run(["bench", "--sizes", "64,128", "--seed", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["n", "m", "stage", "seconds"]
-    assert len(lines) == 7
-    stages = [line.split()[2] for line in lines[1:]]
-    assert stages == ["distances", "structure", "crossings"] * 2
-
-
-def test_bench_rejects_bad_sizes(capsys):
-    assert run(["bench", "--sizes", "64,moose"]) == 1
-    assert run(["bench", "--sizes", "1"]) == 1
-    capsys.readouterr()

@@ -1,22 +1,32 @@
 """Zero clusters and the contracted cluster DAG."""
 from __future__ import annotations
 
+import dataclasses
 import random
+
+import pytest
 
 from graphcases import named_graph
 from ntsp.dominators import core_dominator_trees
 from ntsp.graph import build_graph, random_graph
-from ntsp.oracle import oracle_zero_clusters
+from ntsp.oracle import cluster_topo_order, oracle_zero_clusters
 from ntsp.spdag import build_core
 from ntsp.sssp import distance_labels
-from ntsp.zerostruct import backward_feasible, build_cluster_dag, zero_clusters, zero_path_within
+from ntsp.zerostruct import (
+    ClusterCycleError,
+    ZeroPartition,
+    backward_feasible,
+    build_cluster_dag,
+    zero_clusters,
+    zero_path_within,
+)
 
 
 def structures(g, s, t):
     spdag = build_core(g, distance_labels(g, s, t))
     ts, tt = core_dominator_trees(spdag)
     partition = zero_clusters(spdag, ts, tt)
-    dag = build_cluster_dag(spdag, partition, ts, tt)
+    dag = build_cluster_dag(spdag, partition)
     return spdag, ts, tt, partition, dag
 
 
@@ -122,10 +132,12 @@ def test_cluster_dag_arc_properties():
         if s == t:
             continue
         spdag, ts, tt, partition, dag = structures(g, s, t)
+        topo_index = {c: i for i, c in enumerate(cluster_topo_order(dag))}
+        assert len(topo_index) == dag.count
         for a in range(dag.count):
             for b, w, u, v in dag.succ[a]:
                 # topological order certifies acyclicity
-                assert dag.topo_index[a] < dag.topo_index[b]
+                assert topo_index[a] < topo_index[b]
                 # every arc weight equals the level gap
                 assert dag.comp_level[b] - dag.comp_level[a] == w
                 # the witness is a real core edge joining the clusters
@@ -154,3 +166,16 @@ def test_precedes_matches_reachability():
                         stack.append(b)
             for b in range(dag.count):
                 assert dag.precedes(a, b) == (b in seen)
+
+
+def test_cyclic_contraction_raises():
+    # two singleton clusters joined by an arc each way: a contraction the
+    # solver never builds, so only the cycle check stands in the way
+    spdag, _, _, _, _ = structures(*named_graph("chain"))
+    spdag = dataclasses.replace(spdag, arcs=((0, 1, 1), (1, 0, 1)), source=0, target=1)
+    partition = ZeroPartition(
+        comp=(0, 1, -1), members=((0,), (1,)), comp_level=(0, 1),
+        severed=(), surviving_adj=((), (), ()),
+    )
+    with pytest.raises(ClusterCycleError):
+        build_cluster_dag(spdag, partition)

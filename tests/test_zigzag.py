@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from graphcases import named_graph
 from ntsp.graph import build_graph, random_graph
@@ -13,6 +14,8 @@ from ntsp.zigzag import (
     audit_flows,
     best_backward_pair,
     best_open_pair,
+    build_candidate_network,
+    pinned_candidate_pairs,
     verify_zigzag,
     zigzag_shortest,
 )
@@ -182,29 +185,32 @@ def test_open_pair_matches_all_pairs_scan(criterion_corpus):
         assert_open_pair_matches_scan(g, s, t, f"random_graph({n}, {m}, 5, {zp}, {seed}) s={s} t={t}")
 
 
+def weighted_grids(scale):
+    """220 k-by-k grids, k = 3..13, weights scale * {0, 1, 1, 2}, ids shuffled,
+    each with a seeded query pair."""
+    for k in range(3, 14):
+        for seed in range(20):
+            rng = random.Random(seed * 100 + k)
+            perm = list(range(k * k))
+            rng.shuffle(perm)
+            edges = []
+            for r in range(k):
+                for c in range(k):
+                    v = r * k + c
+                    if c + 1 < k:
+                        edges.append((perm[v], perm[v + 1], scale * rng.choice([0, 1, 1, 2])))
+                    if r + 1 < k:
+                        edges.append((perm[v], perm[v + k], scale * rng.choice([0, 1, 1, 2])))
+            s, t = rng.sample(range(k * k), 2)
+            yield build_graph(k * k, edges), s, t, (k, seed, scale)
+
+
 def test_open_pair_matches_scan_on_weighted_grids():
     # sparse random graphs rarely hold an open pair; grids with weights
     # 0..2 and shuffled ids hold one about a quarter of the time.  Scaled by
     # 2**30, every delta exceeds 10**9 and the walk must still find the pair.
     for scale in (1, 1 << 30):
-        found = 0
-        for k in range(3, 14):
-            for seed in range(20):
-                rng = random.Random(seed * 100 + k)
-                perm = list(range(k * k))
-                rng.shuffle(perm)
-                edges = []
-                for r in range(k):
-                    for c in range(k):
-                        v = r * k + c
-                        if c + 1 < k:
-                            edges.append((perm[v], perm[v + 1], scale * rng.choice([0, 1, 1, 2])))
-                        if r + 1 < k:
-                            edges.append((perm[v], perm[v + k], scale * rng.choice([0, 1, 1, 2])))
-                s, t = rng.sample(range(k * k), 2)
-                found += assert_open_pair_matches_scan(
-                    build_graph(k * k, edges), s, t, (k, seed, scale)
-                )
+        found = sum(assert_open_pair_matches_scan(*case) for case in weighted_grids(scale))
         assert found >= 40, scale
 
 
@@ -215,3 +221,40 @@ def test_pinned_t_flow_solved_once():
         res = next_to_shortest(g, 0, 6)
     assert len(sink) == 3
     assert (res.status, res.kind, res.length, res.path) == ("found", "zigzag", 7, (0, 5, 2, 3, 6))
+
+
+def scanned_h_succ(ctx, cand, cn):
+    """The span's steps built the earlier way: the positive rows, then a
+    scan over every core zero edge, skipping those inside one end cluster."""
+    spdag, verts = ctx.spdag, set(cn.h_succ)
+    rows = spdag.pred_all if cand.kind == "pinned_t" else spdag.succ_all
+    h_succ = {v: [nb for nb, w in rows[v] if w > 0 and nb in verts] for v in verts}
+    for u, v in spdag.zero_edges:
+        if u in verts and v in verts and not ({u, v} <= cn.zy or {u, v} <= cn.zx):
+            h_succ[u].append(v)
+            h_succ[v].append(u)
+    for lst in h_succ.values():
+        lst.sort()
+    return h_succ
+
+
+def test_candidate_steps_match_zero_edge_scan(criterion_corpus):
+    cases = [(g, s, t, f"corpus #{i}") for i, (g, s, t) in enumerate(criterion_corpus)]
+    cases += list(weighted_grids(1))
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        n = rng.randint(10, 30)
+        m = rng.randint(n - 1, min(3 * n, n * (n - 1) // 2))
+        zp = rng.choice([0.3, 0.5, 0.7, 0.9])
+        seed = rng.randrange(1 << 32)
+        s, t = rng.sample(range(n), 2)
+        cases.append((random_graph(n, m, 5, zp, seed), s, t, (n, m, zp, seed, s, t)))
+    kinds = Counter()
+    for g, s, t, label in cases:
+        ctx = build_core_context(g, distance_labels(g, s, t))
+        for cand in pinned_candidate_pairs(ctx):
+            cn = build_candidate_network(ctx, cand)
+            assert cn.h_succ == scanned_h_succ(ctx, cand, cn), (label, cand)
+            kinds[cand.kind] += 1
+    # 1,302 pinned_t, 1,310 pinned_s and 80 pinned_both candidates
+    assert min(kinds[k] for k in ("pinned_both", "pinned_s", "pinned_t")) >= 50, kinds
