@@ -49,19 +49,20 @@ def anchor_array(
 
 
 def detour_candidates(
-    g: Graph, labels: DistLabels, spdag: SpDag, parent: list[int], anchor: list[int]
+    g: Graph, labels: DistLabels, spdag: SpDag, anchor: list[int]
 ) -> list[tuple[int, int, int, int]]:
     """The cheapest scored (f, x, y, w) crossings of usable edges, sorted.
 
     One pass over the edges keeps only the crossings, in either direction,
     whose score f equals the minimum; the list is empty when no edge is
-    usable.
+    usable.  A tree edge is never usable: it is a core edge, or it gives
+    both of its ends the same anchor.
     """
     from_s, to_t = labels.from_s, labels.to_t
     best = INF
     ties: list[tuple[int, int, int, int]] = []
     for (u, v, w), core in zip(g.edges, spdag.core_edge):
-        if core or parent[v] == u or parent[u] == v or anchor[u] == anchor[v]:
+        if core or anchor[u] == anchor[v]:
             continue
         f = from_s[u] + w + to_t[v]
         r = from_s[v] + w + to_t[u]
@@ -165,7 +166,7 @@ def shortest_detour(
 ) -> tuple[int, list[int]] | None:
     """Best tree-leaving length and a witness path, or None when no edge
     qualifies."""
-    cands = detour_candidates(g, labels, spdag, parent, anchor)
+    cands = detour_candidates(g, labels, spdag, anchor)
     if not cands:
         return None
     goal = cands[0][0]

@@ -38,10 +38,12 @@ class DomTree:
 def immediate_dominators(
     n: int,
     succ: list[list[int]] | tuple,
+    pred: list[list[int]] | tuple,
     root: int,
     active: list[int],
 ) -> DomTree:
-    """Dominator tree of the digraph given by succ, rooted at root.
+    """Dominator tree of the digraph given by succ (pred its reverse), rooted
+    at root.
 
     Every vertex in active must be reachable from root; anything else is a
     structural inconsistency upstream and raises UnreachableVertexError.
@@ -66,18 +68,12 @@ def immediate_dominators(
         if dfnum[v] == -1:
             raise UnreachableVertexError(f"vertex {v} unreachable from {root}")
 
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for v in vertex:
-        for nb in succ[v]:
-            if dfnum[nb] != -1:
-                preds[nb].append(v)
-
     semi = dfnum[:]
     ancestor = [-1] * n
     best = list(range(n))
     idom = [-1] * n
     samedom = [-1] * n
-    bucket: dict[int, list[int]] = {}
+    bucket: list[list[int]] = [[] for _ in vertex]  # by preorder number
 
     def compress_eval(v: int) -> int:
         # vertex on the compressed-forest path from v with the lowest semi
@@ -98,7 +94,9 @@ def immediate_dominators(
         v = vertex[i]
         p = parent[v]
         s = p
-        for u in preds[v]:
+        for u in pred[v]:
+            if dfnum[u] == -1:
+                continue  # unreachable from root
             if dfnum[u] <= dfnum[v]:
                 cand = u
             else:
@@ -106,39 +104,94 @@ def immediate_dominators(
             if dfnum[cand] < dfnum[s]:
                 s = cand
         semi[v] = dfnum[s]
-        bucket.setdefault(s, []).append(v)
+        bucket[semi[v]].append(v)
         ancestor[v] = p
-        for w in bucket.pop(p, ()):
+        for w in bucket[dfnum[p]]:
             y = compress_eval(w)
             if semi[y] == semi[w]:
                 idom[w] = p
             else:
                 samedom[w] = y
+        bucket[dfnum[p]] = []
     for i in range(1, len(vertex)):
         v = vertex[i]
         if samedom[v] != -1:
             idom[v] = idom[samedom[v]]
+    return _interval_tree(n, root, idom, vertex)
 
-    # preorder intervals over the dominator tree for O(1) ancestor tests
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in vertex:
-        if idom[v] != -1:
-            children[idom[v]].append(v)
+
+def dag_dominators(
+    count: int, pred_rows: list | tuple, order: list[int], root: int
+) -> DomTree:
+    """Dominator tree of an acyclic digraph, in one pass over order.
+
+    order lists all count nodes so that every arc runs forward in it;
+    pred_rows[v] lists v's arcs in, each a tuple whose first item is the
+    tail.  In a DAG, idom(v) is the nearest common ancestor, in the tree
+    built so far, of v's predecessors (Cooper, Harvey and Kennedy).  Each
+    node keeps one skew-binary jump pointer (Myers), so an ancestor lookup
+    takes O(log count) steps.  A node other than root that has no way in
+    is unreachable and raises UnreachableVertexError; root's own arcs in
+    would come from such nodes, which sit before it in order.
+    """
+    idom = [-1] * count
+    depth = [-1] * count
+    jump = [-1] * count
+
+    def nca(a: int, b: int) -> int:
+        if depth[a] < depth[b]:
+            a, b = b, a
+        d = depth[b]
+        while depth[a] > d:
+            a = jump[a] if depth[jump[a]] >= d else idom[a]
+        while a != b:
+            # at one depth the two jump targets share a depth too; when
+            # they differ, the common ancestor lies above both
+            if jump[a] != jump[b]:
+                a, b = jump[a], jump[b]
+            else:
+                a, b = idom[a], idom[b]
+        return a
+
+    for v in order:
+        if v == root:
+            depth[v], jump[v] = 0, v
+            continue
+        arcs = pred_rows[v]
+        if not arcs:
+            raise UnreachableVertexError(f"vertex {v} unreachable from {root}")
+        p = arcs[0][0]
+        for arc in arcs[1:]:
+            if arc[0] != p:
+                p = nca(p, arc[0])
+        idom[v], depth[v] = p, depth[p] + 1
+        jp = jump[p]
+        jump[v] = jump[jp] if depth[p] - depth[jp] == depth[jp] - depth[jump[jp]] else p
+    return _interval_tree(count, root, idom, order)
+
+
+def _interval_tree(n: int, root: int, idom: list[int], nodes: list[int]) -> DomTree:
+    """Package idom with preorder intervals over the dominator tree, for
+    O(1) ancestor tests.
+
+    nodes lists the tree's nodes, each after its idom.  One pass back over
+    them sums the subtree sizes; one pass forward gives each node the next
+    free slot inside its parent's interval.
+    """
+    size = [1] * n
+    for v in reversed(nodes):
+        if v != root:
+            size[idom[v]] += size[v]
     tin = [-1] * n
     tout = [-1] * n
-    timer = 0
-    walk: list[tuple[int, bool]] = [(root, False)]
-    while walk:
-        v, leaving = walk.pop()
-        if leaving:
-            tout[v] = timer
-            timer += 1
-            continue
-        tin[v] = timer
-        timer += 1
-        walk.append((v, True))
-        for c in reversed(children[v]):
-            walk.append((c, False))
+    tin[root] = 0
+    free = [0] * n  # next unassigned preorder number under each node
+    for v in nodes:
+        if v != root:
+            tin[v] = free[idom[v]]
+            free[idom[v]] += size[v]
+        free[v] = tin[v] + 1
+        tout[v] = tin[v] + size[v] - 1
     return DomTree(root=root, idom=idom, tin=tin, tout=tout)
 
 
@@ -151,6 +204,6 @@ def core_dominator_trees(spdag) -> tuple[DomTree, DomTree]:
     for v in active:
         succ[v] = [nb for nb, _ in spdag.succ_all[v]]
         pred[v] = [nb for nb, _ in spdag.pred_all[v]]
-    ts = immediate_dominators(spdag.n, succ, spdag.source, active)
-    tt = immediate_dominators(spdag.n, pred, spdag.target, active)
+    ts = immediate_dominators(spdag.n, succ, pred, spdag.source, active)
+    tt = immediate_dominators(spdag.n, pred, succ, spdag.target, active)
     return ts, tt

@@ -106,6 +106,114 @@ def oracle_shortest_path_tree(g: Graph, dist: list[int], root: int) -> list[int]
     return parent
 
 
+def oracle_trim_off_path_components(
+    g: Graph, labels: DistLabels, tight_v: list[bool], tight_e: list[bool]
+) -> tuple[list[bool], list[bool]]:
+    """spdag.trim_off_path_components the long way: every biconnected block
+    is listed with its vertex set, and a BFS over blocks through shared cut
+    vertices finds the chain of blocks from s to t."""
+    s, t = labels.source, labels.target
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+    for idx, (u, v, _) in enumerate(g.edges):
+        if tight_e[idx]:
+            nbrs[u].append((v, idx))
+            nbrs[v].append((u, idx))
+
+    # Iterative biconnected-components DFS from s; the tight subgraph is
+    # connected, so one root covers it.
+    disc = [-1] * g.n
+    low = [0] * g.n
+    parent_edge = [-1] * g.n
+    edge_stack: list[int] = []
+    blocks: list[list[int]] = []  # edge indices per block
+    timer = 0
+    it_stack: list[tuple[int, int]] = [(s, 0)]
+    disc[s] = low[s] = timer
+    timer += 1
+    while it_stack:
+        v, ptr = it_stack[-1]
+        if ptr < len(nbrs[v]):
+            it_stack[-1] = (v, ptr + 1)
+            nb, idx = nbrs[v][ptr]
+            if disc[nb] == -1:
+                parent_edge[nb] = idx
+                disc[nb] = low[nb] = timer
+                timer += 1
+                edge_stack.append(idx)
+                it_stack.append((nb, 0))
+            elif idx != parent_edge[v] and disc[nb] < disc[v]:
+                edge_stack.append(idx)
+                low[v] = min(low[v], disc[nb])
+        else:
+            it_stack.pop()
+            if it_stack:
+                p = it_stack[-1][0]
+                low[p] = min(low[p], low[v])
+                if low[v] >= disc[p]:
+                    # p closes a block; pop up to and including the tree edge
+                    blk = []
+                    while True:
+                        idx = edge_stack.pop()
+                        blk.append(idx)
+                        if idx == parent_edge[v]:
+                            break
+                    blocks.append(blk)
+
+    # Block-cut tree walk: find the chain of blocks connecting s and t.
+    block_of: list[list[int]] = [[] for _ in range(g.n)]
+    block_verts: list[list[int]] = []
+    for b, blk in enumerate(blocks):
+        seen: set[int] = set()
+        for idx in blk:
+            u, v, _ = g.edges[idx]
+            seen.add(u)
+            seen.add(v)
+        block_verts.append(sorted(seen))
+        for v in seen:
+            block_of[v].append(b)
+
+    if not blocks:  # n == 1 tight subgraph cannot happen (s != t), guard anyway
+        return tight_v, tight_e
+
+    # BFS over blocks through shared cut vertices, from any block holding s
+    # to any block holding t.
+    prev_block = [-2] * len(blocks)
+    queue = []
+    for b in block_of[s]:
+        prev_block[b] = -1
+        queue.append(b)
+    goal = -1
+    qi = 0
+    while qi < len(queue):
+        b = queue[qi]
+        qi += 1
+        if t in block_verts[b]:
+            goal = b
+            break
+        for v in block_verts[b]:
+            for nb in block_of[v]:
+                if prev_block[nb] == -2:
+                    prev_block[nb] = b
+                    queue.append(nb)
+    assert goal >= 0, "tight subgraph must connect s and t"
+    keep_blocks = []
+    b = goal
+    while b != -1:
+        keep_blocks.append(b)
+        b = prev_block[b]
+
+    core_v = [False] * g.n
+    core_e = [False] * g.m
+    for b in keep_blocks:
+        for idx in blocks[b]:
+            core_e[idx] = True
+        for v in block_verts[b]:
+            core_v[v] = True
+    core_v[s] = True
+    core_v[t] = True
+    return core_v, core_e
+
+
 def oracle_detour_candidates(
     g: Graph, labels: DistLabels, spdag: SpDag, parent: list[int], anchor: list[int]
 ) -> list[tuple[int, int, int, int]]:

@@ -66,110 +66,57 @@ def trim_off_path_components(
 ) -> tuple[list[bool], list[bool]]:
     """Restrict tight flags to the blocks lying between s and t.
 
-    Decomposes the tight subgraph into biconnected blocks and keeps exactly
-    the blocks on the block-cut-tree path from s to t.  Everything else hangs
-    off a cut vertex away from both endpoints and cannot appear on a simple
-    shortest s-t path.  Running the trim twice changes nothing.
+    A biconnected-components DFS from s over the tight subgraph keeps
+    exactly the blocks on the block-cut-tree path from s to t: those whose
+    top child (the tree child through which the block closes) is t or a
+    tree ancestor of t.  Everything else hangs off a cut vertex away from
+    both endpoints and cannot appear on a simple shortest s-t path.
+    Running the trim twice changes nothing.
     """
     s, t = labels.source, labels.target
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for idx, (u, v, _) in enumerate(g.edges):
-        if tight_e[idx]:
-            nbrs[u].append((v, idx))
-            nbrs[v].append((u, idx))
+    edges = g.edges
+    nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in compress(range(g.n), tight_v)}
+    for idx in compress(range(g.m), tight_e):
+        u, v, _ = edges[idx]
+        nbrs[u].append((v, idx))
+        nbrs[v].append((u, idx))
 
-    # Iterative biconnected-components DFS from s; the tight subgraph is
-    # connected, so one root covers it.
+    # The tight subgraph is connected, so one root covers it.  A stack entry
+    # is (v, tree parent, height of the edge stack below v's tree edge,
+    # v's neighbour iterator).
     disc = [-1] * g.n
     low = [0] * g.n
-    parent_edge = [-1] * g.n
+    core_v = [False] * g.n
+    core_e = [False] * g.m
     edge_stack: list[int] = []
-    blocks: list[list[int]] = []  # edge indices per block
-    timer = 0
-    it_stack: list[tuple[int, int]] = [(s, 0)]
-    disc[s] = low[s] = timer
-    timer += 1
-    while it_stack:
-        v, ptr = it_stack[-1]
-        if ptr < len(nbrs[v]):
-            it_stack[-1] = (v, ptr + 1)
-            nb, idx = nbrs[v][ptr]
+    disc[s] = 0
+    timer = 1
+    stack = [(s, -1, 0, iter(nbrs[s]))]
+    while stack:
+        v, p, base, it = stack[-1]
+        for nb, idx in it:
             if disc[nb] == -1:
-                parent_edge[nb] = idx
                 disc[nb] = low[nb] = timer
                 timer += 1
+                stack.append((nb, v, len(edge_stack), iter(nbrs[nb])))
                 edge_stack.append(idx)
-                it_stack.append((nb, 0))
-            elif idx != parent_edge[v] and disc[nb] < disc[v]:
+                break
+            if nb != p and disc[nb] < disc[v]:
                 edge_stack.append(idx)
                 low[v] = min(low[v], disc[nb])
         else:
-            it_stack.pop()
-            if it_stack:
-                p = it_stack[-1][0]
-                low[p] = min(low[p], low[v])
-                if low[v] >= disc[p]:
-                    # p closes a block; pop up to and including the tree edge
-                    blk = []
-                    while True:
-                        idx = edge_stack.pop()
-                        blk.append(idx)
-                        if idx == parent_edge[v]:
-                            break
-                    blocks.append(blk)
-
-    # Block-cut tree walk: find the chain of blocks connecting s and t.
-    block_of: list[list[int]] = [[] for _ in range(g.n)]
-    block_verts: list[list[int]] = []
-    for b, blk in enumerate(blocks):
-        seen: set[int] = set()
-        for idx in blk:
-            u, v, _ = g.edges[idx]
-            seen.add(u)
-            seen.add(v)
-        block_verts.append(sorted(seen))
-        for v in seen:
-            block_of[v].append(b)
-
-    if not blocks:  # n == 1 tight subgraph cannot happen (s != t), guard anyway
-        return tight_v, tight_e
-
-    # BFS over blocks through shared cut vertices, from any block holding s
-    # to any block holding t.
-    prev_block = [-2] * len(blocks)
-    queue = []
-    for b in block_of[s]:
-        prev_block[b] = -1
-        queue.append(b)
-    goal = -1
-    qi = 0
-    while qi < len(queue):
-        b = queue[qi]
-        qi += 1
-        if t in block_verts[b]:
-            goal = b
-            break
-        for v in block_verts[b]:
-            for nb in block_of[v]:
-                if prev_block[nb] == -2:
-                    prev_block[nb] = b
-                    queue.append(nb)
-    assert goal >= 0, "tight subgraph must connect s and t"
-    keep_blocks = []
-    b = goal
-    while b != -1:
-        keep_blocks.append(b)
-        b = prev_block[b]
-
-    core_v = [False] * g.n
-    core_e = [False] * g.m
-    for b in keep_blocks:
-        for idx in blocks[b]:
-            core_e[idx] = True
-        for v in block_verts[b]:
-            core_v[v] = True
-    core_v[s] = True
-    core_v[t] = True
+            stack.pop()
+            if p == -1:
+                continue
+            low[p] = min(low[p], low[v])
+            if low[v] >= disc[p]:
+                # p closes the block above v.  v's subtree is what was found
+                # since v, so t lies in it exactly when disc[t] >= disc[v].
+                if disc[t] >= disc[v]:
+                    for idx in edge_stack[base:]:
+                        a, b, _ = edges[idx]
+                        core_e[idx] = core_v[a] = core_v[b] = True
+                del edge_stack[base:]
     return core_v, core_e
 
 

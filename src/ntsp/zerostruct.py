@@ -4,8 +4,10 @@ Zero edges that realize a dominator relation are severed and oriented; what
 survives groups into clusters whose members are mutually reachable without
 ever crossing one of their own dominators.  Contracting each cluster to a
 single node yields a DAG whose directed reachability is the precedence order
-the backward-pair search runs on.  Nothing here stores that order, for all
-pairs or as a topological list; the contraction is only checked for a cycle.
+the backward-pair search runs on.  Nothing here stores that order for all
+pairs.  The Kahn count that checks the contraction for a cycle pops the
+clusters in a topological order, and both cluster dominator trees are built
+in one pass over it (dominators.dag_dominators); the order is not kept.
 band_walk is the one search over the arcs, kept to a band of levels, and
 both a precedence test and the zigzag layer's walks are made of it.
 """
@@ -15,7 +17,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 
-from .dominators import DomTree, immediate_dominators
+from .dominators import DomTree, dag_dominators
 from .spdag import SpDag
 from .sssp import bfs_path
 
@@ -190,25 +192,24 @@ def build_cluster_dag(spdag: SpDag, partition: ZeroPartition) -> ClusterDag:
     for lst in pred:
         lst.sort()
 
-    # Kahn's count: every cluster leaves the ready stack iff there is no cycle
+    # Kahn's count: every cluster leaves the ready stack iff there is no
+    # cycle, and the order they leave in feeds both dominator passes
     indeg = [len(p) for p in pred]
     ready = [c for c in range(count) if indeg[c] == 0]
-    done = 0
+    order: list[int] = []
     while ready:
-        done += 1
-        for b, _, _, _ in succ[ready.pop()]:
+        c = ready.pop()
+        order.append(c)
+        for b, _, _, _ in succ[c]:
             indeg[b] -= 1
             if indeg[b] == 0:
                 ready.append(b)
-    if done != count:
+    if len(order) != count:
         raise ClusterCycleError("cluster contraction is cyclic")
 
-    active = list(range(count))
-    succ_ids = [[b for b, _, _, _ in succ[c]] for c in range(count)]
-    pred_ids = [[a for a, _, _, _ in pred[c]] for c in range(count)]
     sc, tc = comp[spdag.source], comp[spdag.target]
-    idom_s = immediate_dominators(count, succ_ids, sc, active)
-    idom_t = immediate_dominators(count, pred_ids, tc, active)
+    idom_s = dag_dominators(count, pred, order, sc)
+    idom_t = dag_dominators(count, succ, order[::-1], tc)
     return ClusterDag(
         count=count,
         succ=tuple(tuple(x) for x in succ),

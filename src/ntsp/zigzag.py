@@ -13,7 +13,7 @@ path passes verify_zigzag.  That verified witness is the confirmation.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import permutations
@@ -578,8 +578,11 @@ def best_open_pair(ctx: CoreContext) -> BackwardCandidate | None:
     return BackwardCandidate("open", comp_x=best[1], comp_y=best[2], delta=best[0])
 
 
-def pinned_candidate_pairs(ctx: CoreContext) -> list[BackwardCandidate]:
-    """Cluster pairs pinned through a dominator relation, cheapest first."""
+def pinned_candidate_pairs(
+    ctx: CoreContext, lo: int = 1, hi: float = math.inf
+) -> list[BackwardCandidate]:
+    """Cluster pairs pinned through a dominator relation, with lo <= delta
+    < hi, cheapest first."""
     dag, partition = ctx.dag, ctx.partition
     out: list[BackwardCandidate] = []
     for cx in range(dag.count):
@@ -587,7 +590,7 @@ def pinned_candidate_pairs(ctx: CoreContext) -> list[BackwardCandidate]:
         if cy == -1:
             continue
         delta = dag.comp_level[cx] - dag.comp_level[cy]
-        if delta <= 0:
+        if not lo <= delta < hi:
             continue
         if dag.idom_t.idom[cy] == cx:
             rep_x = partition.representative(cx)
@@ -601,7 +604,7 @@ def pinned_candidate_pairs(ctx: CoreContext) -> list[BackwardCandidate]:
         if cx == -1:
             continue
         delta = dag.comp_level[cx] - dag.comp_level[cy]
-        if delta <= 0:
+        if not lo <= delta < hi:
             continue
         if dag.idom_s.idom[cx] == cy:
             continue  # mutual pins were collected above
@@ -615,24 +618,36 @@ def _walk_key(cand: BackwardCandidate) -> tuple[int, int, int, int]:
     return cand.delta, KIND_RANK[cand.kind], cand.comp_x, cand.comp_y
 
 
+def _candidate_walk(ctx: CoreContext) -> Iterator[BackwardCandidate]:
+    """The best open pair and the pinned pairs in _walk_key order.
+
+    The open kind ranks first at its delta, so the pinned pairs at or above
+    that delta are built only if the walk gets past the open pair.
+    """
+    open_best = best_open_pair(ctx)
+    if open_best is None:
+        yield from pinned_candidate_pairs(ctx)
+        return
+    yield from pinned_candidate_pairs(ctx, hi=open_best.delta)
+    yield open_best
+    yield from pinned_candidate_pairs(ctx, lo=open_best.delta)
+
+
 def best_backward_pair(ctx: CoreContext) -> tuple[BackwardCandidate, list[int]] | None:
     """Cheapest candidate with a verified witness path, and that path.
 
     The best open pair and the pinned pairs are walked in (delta, kind,
-    comp_x, comp_y) order.  A pinned candidate is realized only once its
-    flow test passes; the first realized path that verify_zigzag accepts
-    wins, so a candidate that passes its flow test without expanding just
-    gives way to the next one.  A t-pinned pair is expanded as an s-pinned
-    one in the flipped context, built once a first such pair passes its
-    flow test; its network is already the flipped one, so that flow is
-    solved once.
+    comp_x, comp_y) order, and a pinned pair is built only when the walk
+    reaches its side of the open pair's delta (_candidate_walk).  A pinned
+    candidate is realized only once its flow test passes; the first
+    realized path that verify_zigzag accepts wins, so a candidate that
+    passes its flow test without expanding just gives way to the next one.
+    A t-pinned pair is expanded as an s-pinned one in the flipped context,
+    built once a first such pair passes its flow test; its network is
+    already the flipped one, so that flow is solved once.
     """
-    cands = pinned_candidate_pairs(ctx)
-    open_best = best_open_pair(ctx)
-    if open_best is not None:
-        cands = sorted(cands + [open_best], key=_walk_key)
     flipped: CoreContext | None = None
-    for cand in cands:
+    for cand in _candidate_walk(ctx):
         if cand.kind == "open":
             path = _realize_open(ctx, cand)
         else:

@@ -100,3 +100,18 @@ def zgrid(k: int, p: float, seed: int = 1) -> Graph:
                 if c > 0 and rng.random() < p:
                     edges.append((v, v + k - 1, 0))
     return build_graph(k * k, edges)
+
+
+def chain_fan(L: int) -> tuple[Graph, int, int]:
+    """An s-chain of L unit edges, plus L fan vertices b_j joined to the
+    chain's end by weight 1, to s by weight L+1 and to t by weight 1.
+
+    Every b_j sits on two shortest paths, one down the whole chain, so its
+    two cluster predecessors are s and the chain's end, L steps apart in the
+    dominator tree.  Returns (graph, s, t) with s = 0 and t = 2L + 1.
+    """
+    t = 2 * L + 1
+    edges = [(i, i + 1, 1) for i in range(L)]
+    for b in range(L + 1, t):
+        edges += [(L, b, 1), (0, b, L + 1), (b, t, 1)]
+    return build_graph(t + 1, edges), 0, t

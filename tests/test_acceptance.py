@@ -19,7 +19,7 @@ from scipy.sparse.csgraph import maximum_flow
 
 import ntsp.cli as cli
 from conftest import record_criterion
-from graphcases import EXPECTED, NAMED, corpus, named_graph, zgrid
+from graphcases import EXPECTED, NAMED, chain_fan, corpus, named_graph, zgrid
 from ntsp.detour import anchor_array, detour_candidates
 from ntsp.dominators import core_dominator_trees
 from ntsp.graph import build_graph, random_graph, serialize_graph
@@ -274,7 +274,7 @@ def interleaved_best(small, big, passes):
 def run_pipeline(g, labels, parent, parent_edge) -> None:
     # the structure and crossing-scan layers, without realization
     spdag, _, _, _ = structure_stage(g, labels)
-    detour_candidates(g, labels, spdag, parent, anchor_array(g, spdag, parent, parent_edge))
+    detour_candidates(g, labels, spdag, anchor_array(g, spdag, parent, parent_edge))
 
 
 def test_criterion_6_near_linear_scaling():
@@ -401,6 +401,8 @@ def test_criterion_9_work_per_size():
         "random zp=0.2 n=4096->16384": [
             (random_graph(n, 4 * n, 8, 0.2, seed=1), 0, n - 1) for n in (4096, 16384)
         ],
+        # each fan vertex's two cluster predecessors lie L tree steps apart
+        "chain-plus-fan L=500->2000": [chain_fan(L) for L in (500, 2000)],
     }
     notes = []
     ok = True

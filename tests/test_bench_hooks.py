@@ -53,3 +53,5 @@ def test_traced_query_records_layer_spans():
     calls = tracer.totals()[0]
     for span in ("spdag.build_core", "zerostruct.build_cluster_dag", "zigzag.best_backward_pair"):
         assert calls[span] == 1, span
+    # the lazy candidate walk still builds pinned pairs through the wrapped name
+    assert calls["zigzag.pinned_candidate_pairs"] >= 1

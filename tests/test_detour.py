@@ -29,7 +29,7 @@ def test_out_anchors():
 def test_out_candidates_and_answer():
     g, s, t = named_graph("out")
     labels, spdag, parent, anchor = pieces(g, s, t)
-    cands = detour_candidates(g, labels, spdag, parent, anchor)
+    cands = detour_candidates(g, labels, spdag, anchor)
     assert cands[0][:3] == (3, 2, 3)  # score f, crossing walked b -> t
     got = shortest_detour(g, labels, spdag, parent, anchor)
     assert got == (3, [0, 1, 2, 3])

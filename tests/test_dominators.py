@@ -5,10 +5,16 @@ import random
 
 import pytest
 
-from graphcases import named_graph
-from ntsp.dominators import UnreachableVertexError, core_dominator_trees, immediate_dominators
+from graphcases import corpus, named_graph, zgrid
+from ntsp.dominators import (
+    UnreachableVertexError,
+    core_dominator_trees,
+    dag_dominators,
+    immediate_dominators,
+)
 from ntsp.graph import random_graph
 from ntsp.oracle import oracle_immediate_dominator
+from ntsp.solver import build_core_context
 from ntsp.spdag import build_core
 from ntsp.sssp import distance_labels
 
@@ -78,8 +84,64 @@ def test_matches_removal_oracle():
 
 def test_unreachable_active_vertex_raises():
     succ = [[1], [], []]
+    pred = [[], [0], []]
     with pytest.raises(UnreachableVertexError):
-        immediate_dominators(3, succ, 0, [0, 1, 2])
+        immediate_dominators(3, succ, pred, 0, [0, 1, 2])
     # restricting the active set to what is reachable is fine
-    tree = immediate_dominators(3, succ, 0, [0, 1])
+    tree = immediate_dominators(3, succ, pred, 0, [0, 1])
     assert tree.idom[1] == 0 and tree.idom[2] == -1
+
+
+def test_dag_pass_raises_on_unreachable_node():
+    # arcs 0 -> 1 and 2 -> 1; rows hold (tail,) tuples like cluster arcs
+    pred = [[], [(0,), (2,)], []]
+    with pytest.raises(UnreachableVertexError):
+        dag_dominators(3, pred, [0, 2, 1], 0)
+    # a root later in the order: what comes before it is cut off
+    with pytest.raises(UnreachableVertexError):
+        dag_dominators(3, pred, [2, 0, 1], 0)
+    tree = dag_dominators(3, [[], [(0,)], [(1,)]], [0, 1, 2], 0)
+    assert tree.idom == [-1, 0, 1] and tree.dominates(1, 2)
+
+
+def cluster_dag_instances():
+    """Every cluster DAG of the corpus, 3,000 seeded instances at n = 10..60
+    and zgrids k in {8, 16, 24} at four zero-edge probabilities."""
+    for g, s, t in corpus(5000):
+        yield g, s, t
+    rng = random.Random(20261020)
+    for _ in range(3000):
+        n = rng.randint(10, 60)
+        m = rng.randint(n - 1, min(3 * n, n * (n - 1) // 2))
+        zp = rng.choice([0.0, 0.3, 0.5, 0.7, 0.9])
+        s, t = rng.sample(range(n), 2)
+        yield random_graph(n, m, 5, zp, seed=rng.randrange(1 << 32)), s, t
+    for k in (8, 16, 24):
+        for p in (0.1, 0.3, 0.6, 0.9):
+            yield zgrid(k, p), 0, k * k - 1
+
+
+def test_dag_pass_matches_lengauer_tarjan():
+    # the one-pass cluster trees against Lengauer-Tarjan on the same arcs
+    clusters = 0
+    for g, s, t in cluster_dag_instances():
+        dag = build_core_context(g, distance_labels(g, s, t)).dag
+        count = dag.count
+        succ = [[b for b, _, _, _ in row] for row in dag.succ]
+        pred = [[a for a, _, _, _ in row] for row in dag.pred]
+        every = list(range(count))
+        ref_s = immediate_dominators(count, succ, pred, dag.source_comp, every)
+        ref_t = immediate_dominators(count, pred, succ, dag.target_comp, every)
+        for got, ref in ((dag.idom_s, ref_s), (dag.idom_t, ref_t)):
+            assert got.idom == ref.idom, (g, s, t)
+            for b in every:
+                # a dominates b exactly when a is on b's idom chain
+                chain = {b}
+                u = b
+                while ref.idom[u] != -1:
+                    u = ref.idom[u]
+                    chain.add(u)
+                assert [got.dominates(a, b) for a in every] == [a in chain for a in every]
+                assert [ref.dominates(a, b) for a in every] == [a in chain for a in every]
+        clusters += count
+    assert clusters > 30_000

@@ -1,11 +1,14 @@
 """Core structure: tight subgraph, trimming, orientation, rigidity."""
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
-from graphcases import named_graph
+from graphcases import corpus, named_graph
 from ntsp.graph import random_graph
-from ntsp.oracle import enumerate_simple_st_paths, path_length
+from ntsp.oracle import enumerate_simple_st_paths, oracle_trim_off_path_components, path_length
 from ntsp.spdag import build_core, distance_tight_subgraph, trim_off_path_components
 from ntsp.sssp import distance_labels
 
@@ -72,6 +75,37 @@ def test_trim_is_idempotent():
         once = trim_off_path_components(g, labels, tight_v, tight_e)
         twice = trim_off_path_components(g, labels, list(once[0]), list(once[1]))
         assert once == twice
+
+
+def benchmark_queries():
+    """The queries of the three benchmark workloads at seed 1."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    for make in workloads.WORKLOADS.values():
+        for q in make(1, None).queries:
+            yield q.graph, q.s, q.t
+
+
+def test_trim_matches_block_chain_reference():
+    # the ancestry rule against the block list and the BFS over blocks
+    cases = list(corpus(5000))
+    rng = random.Random(20261021)
+    for _ in range(2000):
+        n = rng.randint(2, 60)
+        m = rng.randint(n - 1, min(3 * n, n * (n - 1) // 2))
+        zp = rng.choice([0.0, 0.3, 0.5, 0.7, 0.9])
+        s, t = rng.sample(range(n), 2)
+        cases.append((random_graph(n, m, 5, zp, seed=rng.randrange(1 << 32)), s, t))
+    cases += benchmark_queries()
+    for g, s, t in cases:
+        labels = distance_labels(g, s, t)
+        tight_v, tight_e = distance_tight_subgraph(g, labels)
+        want = oracle_trim_off_path_components(g, labels, tight_v, tight_e)
+        assert trim_off_path_components(g, labels, tight_v, tight_e) == want, (g, s, t)
+    assert len(cases) == 5000 + 2000 + 4 + 2 + 4000
 
 
 def test_orientation_pent():

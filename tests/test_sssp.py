@@ -118,7 +118,7 @@ def test_one_pass_tree_and_scan_match_references():
         anchor = anchor_array(g, spdag, parent, parent_edge)
         full = oracle_detour_candidates(g, labels, spdag, parent, anchor)
         prefix = [c for c in full if c[0] == full[0][0]]
-        assert detour_candidates(g, labels, spdag, parent, anchor) == prefix, (g, s, t)
+        assert detour_candidates(g, labels, spdag, anchor) == prefix, (g, s, t)
         checked += 1
         ties += len(prefix) > 1
     assert checked == 25_000

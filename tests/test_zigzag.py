@@ -4,17 +4,26 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from graphcases import named_graph
+from graphcases import NAMED, named_graph
 from ntsp.graph import build_graph, random_graph
 from ntsp.oracle import oracle_backward_pairs, oracle_next_to_shortest, oracle_open_pair
 from ntsp.solver import build_core_context, next_to_shortest
 from ntsp.sssp import distance_labels
 from ntsp.zerostruct import backward_feasible
 from ntsp.zigzag import (
+    KIND_RANK,
+    BackwardCandidate,
+    _realize_open,
+    _realize_pinned_both,
+    _realize_pinned_s,
+    _walk_key,
     audit_flows,
     best_backward_pair,
     best_open_pair,
     build_candidate_network,
+    candidate_flow_quota,
+    flipped_context,
+    max_flow_at_least,
     pinned_candidate_pairs,
     verify_zigzag,
     zigzag_shortest,
@@ -258,3 +267,55 @@ def test_candidate_steps_match_zero_edge_scan(criterion_corpus):
             kinds[cand.kind] += 1
     # 1,302 pinned_t, 1,310 pinned_s and 80 pinned_both candidates
     assert min(kinds[k] for k in ("pinned_both", "pinned_s", "pinned_t")) >= 50, kinds
+
+
+def eager_backward_pair(ctx):
+    """best_backward_pair over one list: every pinned pair built, then
+    sorted together with the best open pair."""
+    cands = pinned_candidate_pairs(ctx)
+    open_best = best_open_pair(ctx)
+    if open_best is not None:
+        cands = sorted(cands + [open_best], key=_walk_key)
+    flipped = None
+    for cand in cands:
+        if cand.kind == "open":
+            path = _realize_open(ctx, cand)
+        else:
+            cn = build_candidate_network(ctx, cand)
+            res = max_flow_at_least(cn.net, candidate_flow_quota(cand))
+            if not res.ok:
+                continue
+            if cand.kind == "pinned_both":
+                path = _realize_pinned_both(ctx, cand, cn, res)
+            elif cand.kind == "pinned_s":
+                path = _realize_pinned_s(ctx, cand, cn, res)
+            else:
+                flipped = flipped or flipped_context(ctx)
+                mirror = BackwardCandidate("pinned_s", cand.comp_y, cand.comp_x, cand.delta)
+                path = _realize_pinned_s(flipped, mirror, cn, res)
+                path = path and path[::-1]
+        if path is not None and verify_zigzag(ctx.spdag, path, cand.delta):
+            return cand, path
+    return None
+
+
+def test_lazy_walk_matches_eager_sorted_walk(criterion_corpus):
+    cases = [(*named_graph(name), name) for name in NAMED]
+    cases += [(g, s, t, f"corpus #{i}") for i, (g, s, t) in enumerate(criterion_corpus)]
+    cases += list(weighted_grids(1))
+    rng = random.Random(20261022)
+    for _ in range(2000):
+        n = rng.randint(10, 40)
+        m = rng.randint(n - 1, min(3 * n, n * (n - 1) // 2))
+        zp = rng.choice([0.0, 0.3, 0.5, 0.7, 0.9])
+        seed = rng.randrange(1 << 32)
+        s, t = rng.sample(range(n), 2)
+        cases.append((random_graph(n, m, 5, zp, seed), s, t, (n, m, zp, seed, s, t)))
+    winners = Counter()
+    for g, s, t, label in cases:
+        ctx = build_core_context(g, distance_labels(g, s, t))
+        got = best_backward_pair(ctx)
+        assert got == eager_backward_pair(ctx), label
+        winners[got[0].kind if got else None] += 1
+    # 128 open, 3 pinned_s, 5 pinned_t and 1 pinned_both winners
+    assert winners["open"] >= 100 and min(winners[k] for k in KIND_RANK) >= 1, winners
