@@ -1,8 +1,10 @@
 """Immediate dominators of a rooted digraph, iteratively, near-linear time.
 
-The semidominator construction with path compression.  Recursion is avoided
-throughout; the inputs can have a hundred thousand vertices without touching
-the interpreter stack limit.
+The semidominator construction with path compression serves any digraph
+(the core); an acyclic one (the cluster DAG) takes one pass over a
+topological order instead.  Recursion is avoided throughout; the inputs can
+have a hundred thousand vertices without touching the interpreter stack
+limit.
 """
 from __future__ import annotations
 
