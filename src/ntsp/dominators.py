@@ -1,17 +1,17 @@
 """Immediate dominators of a rooted digraph, iteratively, near-linear time.
 
-The semidominator construction with path compression serves any digraph
-(the core); an acyclic one (the cluster DAG) takes one pass over a
-topological order instead.  Recursion is avoided throughout; the inputs can
-have a hundred thousand vertices without touching the interpreter stack
-limit.
+Both routines end in _nca_tree, which sets idom(v) to the nearest common
+ancestor, in the tree built so far, of nodes that come before v: v's DFS
+parent and semidominator for the core (semi-NCA), v's predecessors for the
+acyclic cluster DAG.  Recursion is avoided throughout; the inputs can have
+a hundred thousand vertices without touching the interpreter stack limit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 
-class UnreachableVertexError(ValueError):
+class UnreachableVertexError(RuntimeError):
     pass
 
 
@@ -45,10 +45,13 @@ def immediate_dominators(
     active: list[int],
 ) -> DomTree:
     """Dominator tree of the digraph given by succ (pred its reverse), rooted
-    at root.
+    at root, by semi-NCA (Georgiadis, Tarjan and Werneck, 2006).
 
-    Every vertex in active must be reachable from root; anything else is a
-    structural inconsistency upstream and raises UnreachableVertexError.
+    One pass back over the DFS preorder finds semidominators with simple
+    path compression; then idom(v) is the nearest common ancestor of
+    parent(v) and sdom(v) in the tree built so far.  Every vertex in active
+    must be reachable from root; anything else is a structural
+    inconsistency upstream and raises UnreachableVertexError.
     """
     dfnum = [-1] * n
     vertex: list[int] = []
@@ -73,9 +76,6 @@ def immediate_dominators(
     semi = dfnum[:]
     ancestor = [-1] * n
     best = list(range(n))
-    idom = [-1] * n
-    samedom = [-1] * n
-    bucket: list[list[int]] = [[] for _ in vertex]  # by preorder number
 
     def compress_eval(v: int) -> int:
         # vertex on the compressed-forest path from v with the lowest semi
@@ -92,6 +92,7 @@ def immediate_dominators(
             ancestor[u] = ancestor[v]
         return best[orig]
 
+    ups: list = [()] * n
     for i in range(len(vertex) - 1, 0, -1):
         v = vertex[i]
         p = parent[v]
@@ -106,20 +107,9 @@ def immediate_dominators(
             if dfnum[cand] < dfnum[s]:
                 s = cand
         semi[v] = dfnum[s]
-        bucket[semi[v]].append(v)
         ancestor[v] = p
-        for w in bucket[dfnum[p]]:
-            y = compress_eval(w)
-            if semi[y] == semi[w]:
-                idom[w] = p
-            else:
-                samedom[w] = y
-        bucket[dfnum[p]] = []
-    for i in range(1, len(vertex)):
-        v = vertex[i]
-        if samedom[v] != -1:
-            idom[v] = idom[samedom[v]]
-    return _interval_tree(n, root, idom, vertex)
+        ups[v] = (p, s)
+    return _nca_tree(n, ups, vertex, root)
 
 
 def dag_dominators(
@@ -130,11 +120,20 @@ def dag_dominators(
     order lists all count nodes so that every arc runs forward in it;
     pred_rows[v] lists v's arcs in, each a tuple whose first item is the
     tail.  In a DAG, idom(v) is the nearest common ancestor, in the tree
-    built so far, of v's predecessors (Cooper, Harvey and Kennedy).  Each
-    node keeps one skew-binary jump pointer (Myers), so an ancestor lookup
-    takes O(log count) steps.  A node other than root that has no way in
-    is unreachable and raises UnreachableVertexError; root's own arcs in
-    would come from such nodes, which sit before it in order.
+    built so far, of v's predecessors (Cooper, Harvey and Kennedy).  A node
+    other than root with no way in raises UnreachableVertexError; root's
+    own arcs in would come from such nodes, which sit before it in order.
+    """
+    return _nca_tree(count, [[arc[0] for arc in row] for row in pred_rows], order, root)
+
+
+def _nca_tree(count: int, ups: list, order: list[int], root: int) -> DomTree:
+    """Tree in which each node's parent is the nearest common ancestor of
+    the nodes in ups[v], all of which come before v in order.
+
+    Each node keeps one skew-binary jump pointer (Myers), so an ancestor
+    lookup takes O(log count) steps.  An empty ups[v] for v other than
+    root raises UnreachableVertexError.
     """
     idom = [-1] * count
     depth = [-1] * count
@@ -159,13 +158,13 @@ def dag_dominators(
         if v == root:
             depth[v], jump[v] = 0, v
             continue
-        arcs = pred_rows[v]
-        if not arcs:
+        nodes = ups[v]
+        if not nodes:
             raise UnreachableVertexError(f"vertex {v} unreachable from {root}")
-        p = arcs[0][0]
-        for arc in arcs[1:]:
-            if arc[0] != p:
-                p = nca(p, arc[0])
+        p = nodes[0]
+        for u in nodes:
+            if u != p:
+                p = nca(p, u)
         idom[v], depth[v] = p, depth[p] + 1
         jp = jump[p]
         jump[v] = jump[jp] if depth[p] - depth[jp] == depth[jp] - depth[jump[jp]] else p

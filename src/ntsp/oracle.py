@@ -284,6 +284,89 @@ def _reaches_excluding(n: int, succ: list[list[int]], root: int, v: int, banned:
     return False
 
 
+def oracle_lengauer_tarjan(
+    n: int, succ: list[list[int]] | tuple, pred: list[list[int]] | tuple, root: int
+) -> list[int]:
+    """Immediate dominators by iterative Lengauer-Tarjan with simple path
+    compression, buckets and deferred samedom fix-ups: a reference for the
+    semi-NCA and one-pass DAG trees of dominators.py that shares no code
+    with them.
+
+    idom[root] is -1.  Every one of the n vertices must be reachable from
+    root; one that is not raises ValueError.
+    """
+    dfnum = [-1] * n
+    vertex: list[int] = []
+    parent = [-1] * n
+    stack: list[tuple[int, int]] = [(root, -1)]
+    while stack:
+        v, p = stack.pop()
+        if dfnum[v] != -1:
+            continue
+        dfnum[v] = len(vertex)
+        vertex.append(v)
+        parent[v] = p
+        # reversed so the smallest successor is explored first
+        for nb in reversed(succ[v]):
+            if dfnum[nb] == -1:
+                stack.append((nb, v))
+
+    for v in range(n):
+        if dfnum[v] == -1:
+            raise ValueError(f"vertex {v} unreachable from {root}")
+
+    semi = dfnum[:]
+    ancestor = [-1] * n
+    best = list(range(n))
+    idom = [-1] * n
+    samedom = [-1] * n
+    bucket: list[list[int]] = [[] for _ in vertex]  # by preorder number
+
+    def compress_eval(v: int) -> int:
+        # vertex on the compressed-forest path from v with the lowest semi
+        if ancestor[v] == -1:
+            return v
+        orig = v
+        trail = []
+        while ancestor[ancestor[v]] != -1:
+            trail.append(v)
+            v = ancestor[v]
+        for u in reversed(trail):
+            if semi[best[ancestor[u]]] < semi[best[u]]:
+                best[u] = best[ancestor[u]]
+            ancestor[u] = ancestor[v]
+        return best[orig]
+
+    for i in range(len(vertex) - 1, 0, -1):
+        v = vertex[i]
+        p = parent[v]
+        s = p
+        for u in pred[v]:
+            if dfnum[u] == -1:
+                continue  # unreachable from root
+            if dfnum[u] <= dfnum[v]:
+                cand = u
+            else:
+                cand = vertex[semi[compress_eval(u)]]
+            if dfnum[cand] < dfnum[s]:
+                s = cand
+        semi[v] = dfnum[s]
+        bucket[semi[v]].append(v)
+        ancestor[v] = p
+        for w in bucket[dfnum[p]]:
+            y = compress_eval(w)
+            if semi[y] == semi[w]:
+                idom[w] = p
+            else:
+                samedom[w] = y
+        bucket[dfnum[p]] = []
+    for i in range(1, len(vertex)):
+        v = vertex[i]
+        if samedom[v] != -1:
+            idom[v] = idom[samedom[v]]
+    return idom
+
+
 def _step_kind(spdag: SpDag, a: int, b: int) -> str:
     """forward / backward / zero for one move along a core edge."""
     la, lb = spdag.level[a], spdag.level[b]

@@ -403,6 +403,11 @@ def test_criterion_9_work_per_size():
         ],
         # each fan vertex's two cluster predecessors lie L tree steps apart
         "chain-plus-fan L=500->2000": [chain_fan(L) for L in (500, 2000)],
+        # weights in {0, 1}: distance 0 and most vertices in a handful of
+        # clusters, so the core's dominator trees do much of the work
+        "zero-heavy random zp=0.9 n=4000->16000": [
+            (random_graph(n, 2 * n, 1, 0.9, seed=5), 0, n - 1) for n in (4000, 16000)
+        ],
     }
     notes = []
     ok = True

@@ -7,6 +7,7 @@ import io
 import ntsp.cli as cli
 from graphcases import named_graph
 from ntsp.detour import RealizationExhausted
+from ntsp.dominators import UnreachableVertexError
 from ntsp.graph import parse_graph, serialize_graph
 from ntsp.oracle import oracle_next_to_shortest
 
@@ -106,15 +107,20 @@ def test_check_catches_wrong_answer(tmp_path, capsys, monkeypatch):
 
 
 def test_internal_error_exit_four(tmp_path, capsys, monkeypatch):
-    def broken(g, s, t):
-        raise RealizationExhausted("no crossing expanded")
-
     path, s, t = fixture_file(tmp_path, "tri")
-    monkeypatch.setattr(cli, "next_to_shortest", broken)
-    assert run(["solve", path, "-s", str(s), "-t", str(t)]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "ntsp: internal error: RealizationExhausted: no crossing expanded\n"
+    for exc in (
+        RealizationExhausted("no crossing expanded"),
+        UnreachableVertexError("vertex 3 unreachable from 0"),
+    ):
+
+        def broken(g, s, t):
+            raise exc
+
+        monkeypatch.setattr(cli, "next_to_shortest", broken)
+        assert run(["solve", path, "-s", str(s), "-t", str(t)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ntsp: internal error: {type(exc).__name__}: {exc}\n"
 
 
 def test_oracle_subcommand(tmp_path, capsys):

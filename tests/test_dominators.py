@@ -1,4 +1,5 @@
-"""Immediate dominators against the removal-based reference."""
+"""Immediate dominators against the removal-based and Lengauer-Tarjan
+references."""
 from __future__ import annotations
 
 import random
@@ -13,7 +14,7 @@ from ntsp.dominators import (
     immediate_dominators,
 )
 from ntsp.graph import random_graph
-from ntsp.oracle import oracle_immediate_dominator
+from ntsp.oracle import oracle_immediate_dominator, oracle_lengauer_tarjan
 from ntsp.solver import build_core_context
 from ntsp.spdag import build_core
 from ntsp.sssp import distance_labels
@@ -130,18 +131,52 @@ def test_dag_pass_matches_lengauer_tarjan():
         succ = [[b for b, _, _, _ in row] for row in dag.succ]
         pred = [[a for a, _, _, _ in row] for row in dag.pred]
         every = list(range(count))
-        ref_s = immediate_dominators(count, succ, pred, dag.source_comp, every)
-        ref_t = immediate_dominators(count, pred, succ, dag.target_comp, every)
+        ref_s = oracle_lengauer_tarjan(count, succ, pred, dag.source_comp)
+        ref_t = oracle_lengauer_tarjan(count, pred, succ, dag.target_comp)
         for got, ref in ((dag.idom_s, ref_s), (dag.idom_t, ref_t)):
-            assert got.idom == ref.idom, (g, s, t)
+            assert got.idom == ref, (g, s, t)
             for b in every:
                 # a dominates b exactly when a is on b's idom chain
                 chain = {b}
                 u = b
-                while ref.idom[u] != -1:
-                    u = ref.idom[u]
+                while ref[u] != -1:
+                    u = ref[u]
                     chain.add(u)
                 assert [got.dominates(a, b) for a in every] == [a in chain for a in every]
-                assert [ref.dominates(a, b) for a in every] == [a in chain for a in every]
         clusters += count
     assert clusters > 30_000
+
+
+def core_instances():
+    """The corpus plus 2,000 seeded instances at n = 10..80, past the
+    removal oracle's reach."""
+    yield from corpus(5000)
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        n = rng.randint(10, 80)
+        m = rng.randint(n - 1, min(3 * n, n * (n - 1) // 2))
+        max_w = rng.choice([1, 2, 5])
+        zp = rng.choice([0.0, 0.3, 0.5, 0.7, 0.9])
+        s, t = rng.sample(range(n), 2)
+        yield random_graph(n, m, max_w, zp, seed=rng.randrange(1 << 32)), s, t
+
+
+def test_core_trees_match_lengauer_tarjan():
+    # semi-NCA on the core against Lengauer-Tarjan on the core relabelled
+    # 0..k-1; vertices outside the core keep idom -1
+    trees = 0
+    for g, s, t in core_instances():
+        spdag = build_core(g, distance_labels(g, s, t))
+        core = spdag.core_vertices()
+        index = {v: i for i, v in enumerate(core)}
+        succ = [[index[nb] for nb, _ in spdag.succ_all[v]] for v in core]
+        pred = [[index[nb] for nb, _ in spdag.pred_all[v]] for v in core]
+        ref_s = oracle_lengauer_tarjan(len(core), succ, pred, index[s])
+        ref_t = oracle_lengauer_tarjan(len(core), pred, succ, index[t])
+        for got, ref in zip(core_dominator_trees(spdag), (ref_s, ref_t)):
+            want = [-1] * g.n
+            for v, d in zip(core, ref):
+                want[v] = -1 if d == -1 else core[d]
+            assert got.idom == want, (g, s, t)
+            trees += 1
+    assert trees >= 14_000
