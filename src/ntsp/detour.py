@@ -17,11 +17,7 @@ from __future__ import annotations
 from .graph import Graph
 from .spdag import SpDag
 from .sssp import INF, DistLabels, bfs_path, tree_path
-from .zigzag import disjoint_st_pair, strict_join
-
-
-class RealizationExhausted(RuntimeError):
-    """No crossing at the best score expanded into a path; an internal bug."""
+from .zigzag import RealizationExhausted, disjoint_st_pair, strict_join
 
 
 def anchor_array(

@@ -5,16 +5,16 @@ shortest s-t path could visit out of level order: climb to the x cluster,
 descend back to the y cluster along core edges, then climb to t.  Candidates
 split by how the cluster dominator trees pin them to each other; the
 cheapest unpinned (open) one comes from a short walk back from each cluster,
-so nothing here visits all cluster pairs.  One walk
-takes them cheapest first; a pinned candidate must pass a small unit-capacity
-flow test, which only prunes, and any candidate counts once its realized
-path passes verify_zigzag.  That verified witness is the confirmation.
+so nothing here visits all cluster pairs.  One walk takes them cheapest
+first and ends at the open pair, which always realizes.  A pinned candidate
+must pass a small unit-capacity flow test, which only prunes.  Any candidate
+counts once its realized path passes verify_zigzag; that verified witness
+is the confirmation.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import permutations
 
@@ -34,6 +34,11 @@ BIG = 10**9
 SOURCE, SINK = -1, -2  # labels of a flow network's virtual endpoints
 
 KIND_RANK = {"open": 0, "pinned_both": 1, "pinned_s": 2, "pinned_t": 3}
+
+
+class RealizationExhausted(RuntimeError):
+    """A candidate the case analysis guarantees did not expand into a path;
+    an internal bug."""
 
 
 @dataclass(frozen=True)
@@ -116,21 +121,6 @@ class FlowOutcome:
     unit_paths: list[list[int]]  # real vertex ids, virtual endpoints stripped
 
 
-_audit_sink: list | None = None
-
-
-@contextmanager
-def audit_flows():
-    """Collect (network, k, outcome) for every decision made inside the block."""
-    global _audit_sink
-    prev = _audit_sink
-    _audit_sink = []
-    try:
-        yield _audit_sink
-    finally:
-        _audit_sink = prev
-
-
 def max_flow_at_least(net: FlowNetwork, k: int) -> FlowOutcome:
     """Decide whether k units fit, with at most k augmentation rounds.
 
@@ -175,11 +165,9 @@ def max_flow_at_least(net: FlowNetwork, k: int) -> FlowOutcome:
             x = net.arc_to[aid ^ 1]
         total += bottleneck
 
-    outcome = FlowOutcome(ok=total >= k, achieved=total, rounds=rounds, unit_paths=[])
-    outcome.unit_paths = _decompose_units(net, total)
-    if _audit_sink is not None:
-        _audit_sink.append((net, k, outcome))
-    return outcome
+    return FlowOutcome(
+        ok=total >= k, achieved=total, rounds=rounds, unit_paths=_decompose_units(net, total)
+    )
 
 
 def _decompose_units(net: FlowNetwork, total: int) -> list[list[int]]:
@@ -316,34 +304,6 @@ def expand_comp_walk(
         out.extend(seg)
         cur = hop_to
     out.extend(zero_path_within(partition, cur, exit_))
-    return out
-
-
-def forward_join(*segments: list[int]) -> list[int]:
-    """Concatenate monotone segments, splicing out any revisit loop.
-
-    Every loop in a purely forward walk sits at one level, so cutting it
-    never changes the length.  Junction vertices must match up.
-    """
-    walk: list[int] = []
-    for seg in segments:
-        assert seg, "empty segment"
-        if walk:
-            assert walk[-1] == seg[0], "segments do not join"
-            walk.extend(seg[1:])
-        else:
-            walk.extend(seg)
-    out: list[int] = []
-    at: dict[int, int] = {}
-    for v in walk:
-        if v in at:
-            cut = at[v]
-            for z in out[cut + 1 :]:
-                del at[z]
-            del out[cut + 1 :]
-        else:
-            out.append(v)
-            at[v] = len(out) - 1
     return out
 
 
@@ -578,11 +538,15 @@ def best_open_pair(ctx: CoreContext) -> BackwardCandidate | None:
     return BackwardCandidate("open", comp_x=best[1], comp_y=best[2], delta=best[0])
 
 
-def pinned_candidate_pairs(
-    ctx: CoreContext, lo: int = 1, hi: float = math.inf
-) -> list[BackwardCandidate]:
-    """Cluster pairs pinned through a dominator relation, with lo <= delta
-    < hi, cheapest first."""
+def pinned_candidate_pairs(ctx: CoreContext, hi: float = math.inf) -> list[BackwardCandidate]:
+    """Cluster pairs pinned through a dominator relation, with 0 < delta < hi,
+    cheapest first.
+
+    When cy = idom_s(cx), cx t-dominates cy only as idom_t(cy): a nearer
+    t-dominator of cy would lie on every cy-cx path and so s-dominate cx
+    after cy.  The mirror argument covers cx = idom_t(cy), so a pair that
+    is not mutually pinned is s- or t-pinned outright.
+    """
     dag, partition = ctx.dag, ctx.partition
     out: list[BackwardCandidate] = []
     for cx in range(dag.count):
@@ -590,25 +554,23 @@ def pinned_candidate_pairs(
         if cy == -1:
             continue
         delta = dag.comp_level[cx] - dag.comp_level[cy]
-        if not lo <= delta < hi:
+        if not 0 < delta < hi:
             continue
         if dag.idom_t.idom[cy] == cx:
             rep_x = partition.representative(cx)
             rep_y = partition.representative(cy)
             if backward_feasible(rep_x, rep_y, partition, dag, ctx.ts, ctx.tt):
                 out.append(BackwardCandidate("pinned_both", cx, cy, delta))
-        elif not dag.idom_t.dominates(cx, cy):
+        else:
             out.append(BackwardCandidate("pinned_s", cx, cy, delta))
     for cy in range(dag.count):
         cx = dag.idom_t.idom[cy]
         if cx == -1:
             continue
         delta = dag.comp_level[cx] - dag.comp_level[cy]
-        if not lo <= delta < hi:
+        if not 0 < delta < hi:
             continue
-        if dag.idom_s.idom[cx] == cy:
-            continue  # mutual pins were collected above
-        if not dag.idom_s.dominates(cy, cx):
+        if dag.idom_s.idom[cx] != cy:  # mutual pins were collected above
             out.append(BackwardCandidate("pinned_t", cx, cy, delta))
     out.sort(key=_walk_key)
     return out
@@ -619,30 +581,27 @@ def _walk_key(cand: BackwardCandidate) -> tuple[int, int, int, int]:
 
 
 def _candidate_walk(ctx: CoreContext) -> Iterator[BackwardCandidate]:
-    """The best open pair and the pinned pairs in _walk_key order.
+    """The pinned pairs below the best open pair's delta in _walk_key order,
+    then that open pair.
 
-    The open kind ranks first at its delta, so the pinned pairs at or above
-    that delta are built only if the walk gets past the open pair.
+    The open pair always realizes, so the walk ends there and the pinned
+    pairs at or above its delta are never built.
     """
     open_best = best_open_pair(ctx)
-    if open_best is None:
-        yield from pinned_candidate_pairs(ctx)
-        return
-    yield from pinned_candidate_pairs(ctx, hi=open_best.delta)
-    yield open_best
-    yield from pinned_candidate_pairs(ctx, lo=open_best.delta)
+    yield from pinned_candidate_pairs(ctx, math.inf if open_best is None else open_best.delta)
+    if open_best is not None:
+        yield open_best
 
 
 def best_backward_pair(ctx: CoreContext) -> tuple[BackwardCandidate, list[int]] | None:
     """Cheapest candidate with a verified witness path, and that path.
 
-    The best open pair and the pinned pairs are walked in (delta, kind,
-    comp_x, comp_y) order, and a pinned pair is built only when the walk
-    reaches its side of the open pair's delta (_candidate_walk).  A pinned
-    candidate is realized only once its flow test passes; the first
-    realized path that verify_zigzag accepts wins, so a candidate that
-    passes its flow test without expanding just gives way to the next one.
-    A t-pinned pair is expanded as an s-pinned one in the flipped context,
+    Candidates come in (delta, kind, comp_x, comp_y) order (_candidate_walk).
+    A pinned candidate is realized only once its flow test passes, and one
+    whose construction fails or whose path verify_zigzag rejects gives way
+    to the next.  The open pair ends the walk: it is realized by one
+    construction, and a failure there raises RealizationExhausted.  A
+    t-pinned pair is expanded as an s-pinned one in the flipped context,
     built once a first such pair passes its flow test; its network is
     already the flipped one, so that flow is solved once.
     """
@@ -656,7 +615,7 @@ def best_backward_pair(ctx: CoreContext) -> tuple[BackwardCandidate, list[int]] 
             if not res.ok:
                 continue
             if cand.kind == "pinned_both":
-                path = _realize_pinned_both(ctx, cand, cn, res)
+                path = _realize_pinned_both(ctx, cn, res)
             elif cand.kind == "pinned_s":
                 path = _realize_pinned_s(ctx, cand, cn, res)
             else:
@@ -670,6 +629,8 @@ def best_backward_pair(ctx: CoreContext) -> tuple[BackwardCandidate, list[int]] 
                     path = path[::-1]
         if path is not None and verify_zigzag(ctx.spdag, path, cand.delta):
             return cand, path
+        if cand.kind == "open":
+            raise RealizationExhausted(f"open pair {cand} did not realize")
     return None
 
 
@@ -721,24 +682,18 @@ def _three_links_worker(
     tree = ctx.tt if to_target else ctx.ts
     root = spdag.target if to_target else spdag.source
     p = tree.idom[wa]
-    if p == -1:
-        return None
-    walk = climb_path(spdag, p, root, descending=not to_target)
-    if walk is None:
-        return None
-    trunk = walk[::-1]  # root .. p
+    trunk = climb_path(spdag, p, root, descending=not to_target)[::-1]  # root .. p
     net = vertex_flow_net(
         spdag, [(p, 2)], [(wa, 1), (wb, 1)], descending=to_target
     )
     res = max_flow_at_least(net, 2)
     if not res.ok:
         return None
-    unit_a = next((u for u in res.unit_paths if u[-1] == wa), None)
-    unit_b = next((u for u in res.unit_paths if u[-1] == wb), None)
-    if unit_a is None or unit_b is None:
-        return None
-    main_a = forward_join(trunk, unit_a)
-    main_b = forward_join(trunk, unit_b)
+    unit_a = next(u for u in res.unit_paths if u[-1] == wa)
+    unit_b = next(u for u in res.unit_paths if u[-1] == wb)
+    # both units leave p; the caller's strict_join rejects any repeat
+    main_a = trunk + unit_a[1:]
+    main_b = trunk + unit_b[1:]
     if wc == wb:
         return "A", main_a, [wb]
     seen_a = set(unit_a)
@@ -747,79 +702,62 @@ def _three_links_worker(
         return "B", main_b, unit_a[unit_a.index(wc):]
     if wc in seen_b:
         return "A", main_a, unit_b[unit_b.index(wc):]
+    # z starts at wb, the end of unit_b, so it meets a unit; q and that
+    # unit's end share the cluster's level, and a monotone unit between
+    # them stays on it, so the cross is level
     z = zero_path_within(partition, wb, wc)
-    hits = [i for i, v in enumerate(z) if v in seen_a or v in seen_b]
-    if not hits:
-        return "A", main_a, z[::-1]
-    q = z[hits[-1]]
+    hit = max(i for i, v in enumerate(z) if v in seen_a or v in seen_b)
+    q = z[hit]
     if q in seen_a:
         # wb's zero walk last meets the wa unit: swap roles
-        cross = z[hits[-1]:][::-1] + unit_a[unit_a.index(q) + 1:]
-        if any(spdag.level[v] != spdag.level[wc] for v in cross):
-            return None
-        return "B", main_b, cross
-    cross = z[hits[-1]:][::-1] + unit_b[unit_b.index(q) + 1:]
-    if any(spdag.level[v] != spdag.level[wc] for v in cross):
-        return None
-    return "A", main_a, cross
+        return "B", main_b, z[hit:][::-1] + unit_a[unit_a.index(q) + 1:]
+    return "A", main_a, z[hit:][::-1] + unit_b[unit_b.index(q) + 1:]
 
 
-def _realize_open(ctx: CoreContext, cand: BackwardCandidate) -> list[int] | None:
+def _realize_open(ctx: CoreContext, cand: BackwardCandidate) -> list[int]:
     """Expand an open pair: reach the y cluster twice, then descend once.
 
-    Walks a cluster route from the y side to the target, picks a revisit
-    cluster v on it at the y level, and closes with a 2-unit cluster flow
-    from {source, v} to the x cluster.  The concatenated cluster walk rises
-    to x, falls back to v, and follows the route out.
+    Walks a cluster route from the y side to the target, avoiding the x
+    cluster; it exists because cx does not t-dominate cy.  The revisit
+    cluster v is the route's last cluster at the y level inside
+    open_region, which holds cy itself.  A 2-unit cluster flow from
+    {source, v} to the x cluster closes the walk: it rises to x, falls back
+    to v, and follows the route out.  A flow that fails raises
+    RealizationExhausted.
     """
     spdag, partition, dag = ctx.spdag, ctx.partition, ctx.dag
     cx, cy = cand.comp_x, cand.comp_y
     route = cluster_route(dag, cy, dag.target_comp, banned={cx})
-    if route is None:
-        return None
     region = set(open_region(dag, cx, cand.delta))
+    at = max(
+        i for i, c in enumerate(route) if dag.comp_level[c] == dag.comp_level[cy] and c in region
+    )
+    v, tail = route[at], route[at:]
+    banned = set(tail[1:])
     # only clusters that reach cx can carry flow; kept sorted, they give the
     # augmenting paths of a network over every cluster
     feeders = sorted([cx, *band_walk(dag, cx, 0, dag.comp_level[cx], False)])
-    picks = [
-        i
-        for i, c in enumerate(route)
-        if dag.comp_level[c] == dag.comp_level[cy] and c in region
-    ]
-    for i in reversed(picks):
-        v = route[i]
-        tail = route[i:]
-        banned = set(tail[1:])
-        net = endpoint_net(
-            [c for c in feeders if c not in banned],
-            lambda c: (b for b, _, _, _ in dag.succ[c]),
-            [(dag.source_comp, 1), (v, 1)],
-            [(cx, 2)],
-        )
-        res = max_flow_at_least(net, 2)
-        if not res.ok:
-            continue
-        s1 = next((u for u in res.unit_paths if u[0] == dag.source_comp), None)
-        s2 = next((u for u in res.unit_paths if u[0] == v), None)
-        if s1 is None or s2 is None:
-            continue
-        comps = s1 + s2[::-1][1:] + tail[1:]
-        if len(set(comps)) != len(comps):
-            continue
-        dirs = (
-            [True] * (len(s1) - 1)
-            + [False] * (len(s2) - 1)
-            + [True] * (len(tail) - 1)
-        )
-        path = expand_comp_walk(partition, dag, comps, dirs, spdag.source, spdag.target)
-        if verify_zigzag(spdag, path, cand.delta):
-            return path
-    return None
+    net = endpoint_net(
+        [c for c in feeders if c not in banned],
+        lambda c: (b for b, _, _, _ in dag.succ[c]),
+        [(dag.source_comp, 1), (v, 1)],
+        [(cx, 2)],
+    )
+    res = max_flow_at_least(net, 2)
+    if not res.ok:
+        raise RealizationExhausted(f"open pair {cand}: no two ascents into the x cluster")
+    s1 = next(u for u in res.unit_paths if u[0] == dag.source_comp)
+    s2 = next(u for u in res.unit_paths if u[0] == v)
+    comps = s1 + s2[::-1][1:] + tail[1:]
+    dirs = [True] * (len(s1) - 1) + [False] * (len(s2) - 1) + [True] * (len(tail) - 1)
+    return expand_comp_walk(partition, dag, comps, dirs, spdag.source, spdag.target)
 
 
 def _realize_pinned_both(
-    ctx: CoreContext, cand: BackwardCandidate, cn: CandidateNetwork, res: FlowOutcome
+    ctx: CoreContext, cn: CandidateNetwork, res: FlowOutcome
 ) -> list[int] | None:
+    """Expand a doubly pinned pair: the first slot assignment of three unit
+    paths that joins into a simple path, or None."""
     units = _expand_conduit_units(cn, res.unit_paths)
     units = [_trim_unit(cn, u) for u in units]
     pool: list[list[int]] = []
@@ -838,15 +776,13 @@ def _realize_pinned_both(
             if walk is not None and walk not in pool:
                 pool.append(walk)
     for trio in permutations(pool, 3):
-        path = _assemble_pinned_both(ctx, cand, trio)
+        path = _assemble_pinned_both(ctx, trio)
         if path is not None:
             return path
     return None
 
 
-def _assemble_pinned_both(
-    ctx: CoreContext, cand: BackwardCandidate, trio
-) -> list[int] | None:
+def _assemble_pinned_both(ctx: CoreContext, trio) -> list[int] | None:
     """Try one slot assignment of three cluster-to-cluster unit paths.
 
     Slots follow the zigzag order: P1 carries the first ascent, P2 the final
@@ -879,9 +815,7 @@ def _assemble_pinned_both(
             path = strict_join(q1, p1, cross_w, p3[::-1], q2, p2, main_w[::-1])
         else:
             path = strict_join(q1, p1, cross_w, p2[::-1], q2[::-1], p3, main_w[::-1])
-    if path is not None and verify_zigzag(spdag, path, cand.delta):
-        return path
-    return None
+    return path
 
 
 def _realize_pinned_s(
@@ -889,46 +823,35 @@ def _realize_pinned_s(
 ) -> list[int] | None:
     """Expand an s-pinned pair: descend once into the y cluster, leave once.
 
-    The exit route from the y cluster to t avoids the x cluster (it exists by
-    the non-domination side condition).  A revisit vertex v on its level-Ly
-    prefix splits the route; a 2-unit vertex flow from {s, v} into the x
-    cluster supplies the two ascents, and the route tail finishes the walk.
+    The first flow unit names the entry into the y cluster and the exit from
+    the x cluster.  The route from the entry to t avoids the x cluster, and
+    so the exit; both follow from the non-domination side condition.  A
+    revisit vertex v, the last of the route's level-Ly prefix, splits it; a
+    2-unit vertex flow from {s, v} into the exit supplies the two ascents,
+    and the route tail finishes the walk.  None when that flow fails or the
+    pieces repeat a vertex.
     """
     spdag, partition, dag = ctx.spdag, ctx.partition, ctx.dag
     cx, cy = cand.comp_x, cand.comp_y
     level_y = dag.comp_level[cy]
-    units = [_trim_unit(cn, u) for u in _expand_conduit_units(cn, res.unit_paths)]
+    unit = _trim_unit(cn, _expand_conduit_units(cn, res.unit_paths[:1])[0])
     route = cluster_route(dag, cy, dag.target_comp, banned={cx})
-    if route is None:
+    expanded = expand_comp_walk(
+        partition, dag, route, [True] * (len(route) - 1), unit[0], spdag.target
+    )
+    at = 0
+    while at + 1 < len(expanded) and spdag.level[expanded[at + 1]] == level_y:
+        at += 1
+    v, tail = expanded[at], expanded[at:]
+    net = vertex_flow_net(
+        spdag, [(spdag.source, 1), (v, 1)], [(unit[-1], 2)], banned=set(tail) - {v}
+    )
+    r2 = max_flow_at_least(net, 2)
+    if not r2.ok:
         return None
-    for entry in dict.fromkeys(u[0] for u in units):
-        expanded = expand_comp_walk(
-            partition, dag, route, [True] * (len(route) - 1), entry, spdag.target
-        )
-        # the revisit vertex is the last one of the route's level-Ly prefix
-        at = 0
-        while at + 1 < len(expanded) and spdag.level[expanded[at + 1]] == level_y:
-            at += 1
-        v = expanded[at]
-        tail = expanded[at:]
-        tail_block = set(tail) - {v}
-        for exit_v in dict.fromkeys(u[-1] for u in units):
-            if exit_v in tail:
-                continue
-            net = vertex_flow_net(
-                spdag, [(spdag.source, 1), (v, 1)], [(exit_v, 2)], banned=tail_block
-            )
-            r2 = max_flow_at_least(net, 2)
-            if not r2.ok:
-                continue
-            s1 = next((u for u in r2.unit_paths if u[0] == spdag.source), None)
-            s2 = next((u for u in r2.unit_paths if u[0] == v), None)
-            if s1 is None or s2 is None:
-                continue
-            path = strict_join(s1, s2[::-1], tail)
-            if path is not None and verify_zigzag(spdag, path, cand.delta):
-                return path
-    return None
+    s1 = next(u for u in r2.unit_paths if u[0] == spdag.source)
+    s2 = next(u for u in r2.unit_paths if u[0] == v)
+    return strict_join(s1, s2[::-1], tail)
 
 
 def flipped_context(ctx: CoreContext) -> CoreContext:
@@ -1018,8 +941,6 @@ def disjoint_st_pair(
     res = max_flow_at_least(net, 2)
     if not res.ok:
         return None
-    u_s = next((u for u in res.unit_paths if u[0] == s), None)
-    u_t = next((u for u in res.unit_paths if u[0] == t), None)
-    if u_s is None or u_t is None:
-        return None
+    u_s = next(u for u in res.unit_paths if u[0] == s)
+    u_t = next(u for u in res.unit_paths if u[0] == t)
     return u_s, u_t[::-1], u_s[-1] == b

@@ -36,7 +36,6 @@ from ntsp.solver import distance_stage, next_to_shortest, structure_stage
 from ntsp.spdag import build_core
 from ntsp.sssp import distance_labels
 from ntsp.zerostruct import backward_feasible, build_cluster_dag, zero_clusters
-from ntsp.zigzag import audit_flows
 
 
 def valid_witness(g, s, t, res) -> bool:
@@ -213,14 +212,14 @@ def scipy_max_flow(net) -> int:
     return int(maximum_flow(mat, 2 * net.source, 2 * net.sink + 1).flow_value)
 
 
-def test_criterion_5_flow_discipline(criterion_corpus):
+def test_criterion_5_flow_discipline(criterion_corpus, flow_log):
     t0 = time.perf_counter()
     audited = 0
     problems = []
     for i, (g, s, t) in enumerate(criterion_corpus):
-        with audit_flows() as sink:
-            next_to_shortest(g, s, t)
-        for net, k, outcome in sink:
+        flow_log.clear()
+        next_to_shortest(g, s, t)
+        for net, k, outcome in flow_log:
             audited += 1
             if outcome.rounds > 3 or outcome.rounds > k:
                 problems.append(f"#{i}: {outcome.rounds} rounds for k={k}")

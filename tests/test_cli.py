@@ -5,11 +5,12 @@ import functools
 import io
 
 import ntsp.cli as cli
+import ntsp.zigzag
 from graphcases import named_graph
-from ntsp.detour import RealizationExhausted
 from ntsp.dominators import UnreachableVertexError
 from ntsp.graph import parse_graph, serialize_graph
 from ntsp.oracle import oracle_next_to_shortest
+from ntsp.zigzag import FlowOutcome, RealizationExhausted
 
 
 def run(argv):
@@ -121,6 +122,20 @@ def test_internal_error_exit_four(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"ntsp: internal error: {type(exc).__name__}: {exc}\n"
+
+
+def test_open_pair_flow_failure_exit_four(tmp_path, capsys, monkeypatch):
+    # pent's answer is an open-pair zigzag; when its flow cannot carry two
+    # units the solver must fail loudly, not fall through to a worse answer
+    path, s, t = fixture_file(tmp_path, "pent")
+    monkeypatch.setattr(
+        ntsp.zigzag, "max_flow_at_least", lambda net, k: FlowOutcome(False, 0, 1, [])
+    )
+    assert run(["solve", path, "-s", str(s), "-t", str(t)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ntsp: internal error: RealizationExhausted: open pair")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_oracle_subcommand(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """Backward-pair scan and zigzag realization."""
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
-from graphcases import NAMED, named_graph
+from graphcases import NAMED, named_graph, zgrid
 from ntsp.graph import build_graph, random_graph
 from ntsp.oracle import oracle_backward_pairs, oracle_next_to_shortest, oracle_open_pair
 from ntsp.solver import build_core_context, next_to_shortest
@@ -17,7 +18,6 @@ from ntsp.zigzag import (
     _realize_pinned_both,
     _realize_pinned_s,
     _walk_key,
-    audit_flows,
     best_backward_pair,
     best_open_pair,
     build_candidate_network,
@@ -223,12 +223,11 @@ def test_open_pair_matches_scan_on_weighted_grids():
         assert found >= 40, scale
 
 
-def test_pinned_t_flow_solved_once():
+def test_pinned_t_flow_solved_once(flow_log):
     # the t-pinned candidate's flow test runs on the flipped network only
     g = random_graph(7, 9, 3, 0.3, 909663)
-    with audit_flows() as sink:
-        res = next_to_shortest(g, 0, 6)
-    assert len(sink) == 3
+    res = next_to_shortest(g, 0, 6)
+    assert len(flow_log) == 3
     assert (res.status, res.kind, res.length, res.path) == ("found", "zigzag", 7, (0, 5, 2, 3, 6))
 
 
@@ -286,7 +285,7 @@ def eager_backward_pair(ctx):
             if not res.ok:
                 continue
             if cand.kind == "pinned_both":
-                path = _realize_pinned_both(ctx, cand, cn, res)
+                path = _realize_pinned_both(ctx, cn, res)
             elif cand.kind == "pinned_s":
                 path = _realize_pinned_s(ctx, cand, cn, res)
             else:
@@ -319,3 +318,52 @@ def test_lazy_walk_matches_eager_sorted_walk(criterion_corpus):
         winners[got[0].kind if got else None] += 1
     # 128 open, 3 pinned_s, 5 pinned_t and 1 pinned_both winners
     assert winners["open"] >= 100 and min(winners[k] for k in KIND_RANK) >= 1, winners
+
+
+def test_one_construction_per_kind():
+    # Every best open pair realizes by its one construction, and so does
+    # every s- or t-pinned pair whose flow test passes at or below the
+    # answer's delta, which holds every pair the walk can reach.  Above that
+    # delta, 143 of the 1,132 pinned pairs here that pass their flow test
+    # fail the second flow; the walk never gets that far.
+    cases = list(weighted_grids(1))
+    for k in range(4, 13):
+        for p in (0.2, 0.4, 0.6):
+            cases.append((zgrid(k, p, seed=k), 0, k * k - 1, ("zgrid", k, p)))
+    rng = random.Random(20261019)
+    for _ in range(1000):
+        n = rng.randint(10, 60)
+        m = rng.randint(n - 1, min(3 * n, n * (n - 1) // 2))
+        zp = rng.choice([0.3, 0.5, 0.7, 0.9])
+        seed = rng.randrange(1 << 32)
+        s, t = rng.sample(range(n), 2)
+        cases.append((random_graph(n, m, 3, zp, seed), s, t, (n, m, zp, seed, s, t)))
+    realized = Counter()
+    for g, s, t, label in cases:
+        ctx = build_core_context(g, distance_labels(g, s, t))
+        open_pair = best_open_pair(ctx)
+        if open_pair is not None:
+            assert verify_zigzag(ctx.spdag, _realize_open(ctx, open_pair), open_pair.delta), label
+            realized["open"] += 1
+        found = best_backward_pair(ctx)
+        hi = math.inf if found is None else found[0].delta + 1
+        flipped = None
+        for cand in pinned_candidate_pairs(ctx, hi):
+            if cand.kind == "pinned_both":
+                continue
+            cn = build_candidate_network(ctx, cand)
+            res = max_flow_at_least(cn.net, candidate_flow_quota(cand))
+            if not res.ok:
+                continue
+            if cand.kind == "pinned_s":
+                path = _realize_pinned_s(ctx, cand, cn, res)
+            else:
+                flipped = flipped or flipped_context(ctx)
+                mirror = BackwardCandidate("pinned_s", cand.comp_y, cand.comp_x, cand.delta)
+                path = _realize_pinned_s(flipped, mirror, cn, res)
+                path = path and path[::-1]
+            assert path is not None and verify_zigzag(ctx.spdag, path, cand.delta), (label, cand)
+            realized[cand.kind] += 1
+    # 106 open, 326 pinned_s and 310 pinned_t pairs realized
+    assert realized["open"] >= 100, realized
+    assert min(realized["pinned_s"], realized["pinned_t"]) >= 300, realized
