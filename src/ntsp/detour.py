@@ -2,10 +2,12 @@
 
 Every such path crosses some edge absent from both the shortest-path tree
 and the core; crossing (x, y) costs at least from_s[x] + w + to_t[y].  The
-scan takes the minimum of that score over the usable edges, and a short
-cascade of constructions turns the winning edge into a concrete simple path
-of exactly that length.  The scan is one pass over the edges that keeps only
-the crossings at the minimum score.
+scan takes the minimum of that score over the usable edges, in one pass that
+keeps only the crossings at the minimum score.  A crossing turns into a
+concrete simple path by one of three shapes.  Each shape is one construction
+whose length the distance labels fix in advance, and it runs only when that
+length is the score, so a path it returns needs no second look; the caller
+checks the final witness once.
 
 An edge is usable only when its endpoints hang from different anchors.  The
 anchor of v is the root of the maximal tree stretch above v with no core
@@ -83,8 +85,8 @@ def _path_length(g: Graph, path: list[int]) -> int:
     return total
 
 
-def _accept(g: Graph, labels: DistLabels, path: list[int] | None, goal: int) -> bool:
-    if path is None or len(set(path)) != len(path):
+def _accept(g: Graph, labels: DistLabels, path: list[int], goal: int) -> bool:
+    if len(set(path)) != len(path):
         return False
     if path[0] != labels.source or path[-1] != labels.target:
         return False
@@ -102,6 +104,18 @@ def _tight_descent(
     )
 
 
+def _direct(g: Graph, labels: DistLabels, parent: list[int], x: int, y: int) -> list[int] | None:
+    """The tree walk s..x, the crossing, then a tight descent y..t that dodges
+    the walk: from_s[x] + w + to_t[y] long, or None when y is on the walk or
+    no such descent exists."""
+    p_x = tree_path(parent, labels.source, x)
+    p_set = set(p_x)
+    if y in p_set:
+        return None
+    desc = _tight_descent(g, labels, y, p_set)
+    return None if desc is None else p_x + desc
+
+
 def _realize_crossing(
     g: Graph,
     labels: DistLabels,
@@ -110,50 +124,36 @@ def _realize_crossing(
     anchor: list[int],
     x: int,
     y: int,
+    w: int,
     goal: int,
 ) -> list[int] | None:
-    """Simple s-t path of length goal through or around the crossing (x, y).
+    """Simple s-t path of length goal == from_s[x] + w + to_t[y] through the
+    crossing, or None.
 
-    Tried in order: the tree walk to x with a tight descent dodging it; the
-    disjoint climb pair through both anchors joined by the two tree stems;
-    the tree walk to y with a tight descent from x dodging it.  Each product
-    is length-checked, so a miss just falls through.
+    Tried in order, each only where the labels make its length goal:
+    _direct(x, y); the disjoint climb pair through both anchors joined by
+    the two tree stems, when y's stem is tight toward t; _direct(y, x),
+    when the reverse score is goal too.
     """
-    s = labels.source
-    p_x = tree_path(parent, s, x)
-    p_set = set(p_x)
-
-    # direct: dodge the tree walk entirely
-    if y not in p_set:
-        desc = _tight_descent(g, labels, y, p_set)
-        if desc is not None:
-            cand = p_x + desc
-            if _accept(g, labels, cand, goal):
-                return cand
+    from_s, to_t = labels.from_s, labels.to_t
+    path = _direct(g, labels, parent, x, y)
+    if path is not None:
+        return path
 
     r_x, r_y = anchor[x], anchor[y]
-    stem_x = tree_path(parent, r_x, x)
-    stem_y = tree_path(parent, r_y, y)
+    if from_s[y] - from_s[r_y] + to_t[r_y] == to_t[y]:
+        # s climbs to r_x, the stems bridge the crossing, r_y climbs out to t
+        pair = disjoint_st_pair(spdag, r_x, r_y)
+        if pair is not None and not pair[2]:
+            p1, p2, _ = pair
+            stem_x = tree_path(parent, r_x, x)
+            stem_y = tree_path(parent, r_y, y)
+            path = strict_join(p1, stem_x, [x, y], stem_y[::-1], p2)
+            if path is not None:
+                return path
 
-    # through both anchors: s climbs to r_x, stems bridge the crossing,
-    # r_y climbs out to t
-    pair = disjoint_st_pair(spdag, r_x, r_y)
-    if pair is not None:
-        p1, p2, swapped = pair
-        if not swapped:
-            cand = strict_join(p1, stem_x, [x, y], stem_y[::-1], p2)
-            if _accept(g, labels, cand, goal):
-                return cand
-
-    # the direct shape with the crossing walked y to x; the length check
-    # keeps it only when the reverse direction costs the same
-    p_y = tree_path(parent, s, y)
-    if x not in set(p_y):
-        desc = _tight_descent(g, labels, x, set(p_y))
-        if desc is not None:
-            cand = p_y + desc
-            if _accept(g, labels, cand, goal):
-                return cand
+    if from_s[y] + w + to_t[x] == goal:
+        return _direct(g, labels, parent, y, x)
     return None
 
 
@@ -161,13 +161,17 @@ def shortest_detour(
     g: Graph, labels: DistLabels, spdag: SpDag, parent: list[int], anchor: list[int]
 ) -> tuple[int, list[int]] | None:
     """Best tree-leaving length and a witness path, or None when no edge
-    qualifies."""
+    qualifies.  The first tie that realizes is checked once; a bad witness
+    raises RealizationExhausted, like ties that all fail."""
     cands = detour_candidates(g, labels, spdag, anchor)
     if not cands:
         return None
     goal = cands[0][0]
-    for _, x, y, _ in cands:
-        path = _realize_crossing(g, labels, spdag, parent, anchor, x, y, goal)
-        if path is not None:
-            return goal, path
+    for _, x, y, w in cands:
+        path = _realize_crossing(g, labels, spdag, parent, anchor, x, y, w, goal)
+        if path is None:
+            continue
+        if not _accept(g, labels, path, goal):
+            raise RealizationExhausted(f"crossing ({x}, {y}) gave a bad witness at score {goal}")
+        return goal, path
     raise RealizationExhausted(f"no crossing at score {goal} expanded to a path")

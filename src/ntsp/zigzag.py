@@ -382,18 +382,17 @@ class BackwardCandidate:
 class CandidateNetwork:
     """Flow network over the span between a candidate's two clusters.
 
-    Narrow interior corridors (components touching exactly one vertex on each
-    side) are replaced by unit arcs; conduits maps such an arc back to the
-    concrete corridor path.  h_succ retains the uncontracted span for direct
-    cluster-to-cluster walks, and h_edges its directed edge set.
+    Every span vertex is a node of capacity 1, except the end clusters':
+    zy's nodes hang off the source with capacity 2 for a pinned_both pair
+    and 1 otherwise, zx's into the sink with capacity 2.  h_succ holds the
+    span's steps, which the network's arcs follow and the direct
+    cluster-to-cluster walks reuse.
     """
 
     net: FlowNetwork
     zy: frozenset[int]
     zx: frozenset[int]
-    conduits: dict[tuple[int, int], list[int]]
     h_succ: dict[int, list[int]]
-    h_edges: frozenset[tuple[int, int]]
 
 
 def build_candidate_network(ctx: CoreContext, cand: BackwardCandidate) -> CandidateNetwork:
@@ -426,69 +425,15 @@ def build_candidate_network(ctx: CoreContext, cand: BackwardCandidate) -> Candid
     for v in verts:
         own = zy if v in zy else zx if v in zx else ()
         h_succ[v] = [nb for nb, w in rows[v] if nb in verts and (w or nb not in own)]
-    h_edges = frozenset((a, b) for a in h_succ for b in h_succ[a])
-
-    # interior components; narrow ones become unit-capacity corridor arcs
-    interior = sorted(verts - zy - zx)
-    comp_of: dict[int, int] = {}
-    comps: list[list[int]] = []
-    for seed in interior:
-        if seed in comp_of:
-            continue
-        cid = len(comps)
-        comp_of[seed] = cid
-        group = [seed]
-        stack = [seed]
-        while stack:
-            x = stack.pop()
-            for y in h_succ[x]:
-                if y in zy or y in zx or y in comp_of:
-                    continue
-                comp_of[y] = cid
-                group.append(y)
-                stack.append(y)
-        comps.append(sorted(group))
-
-    conduits: dict[tuple[int, int], list[int]] = {}
-    replaced: set[int] = set()
-    for cid, group in enumerate(comps):
-        gset = set(group)
-        touch_y = sorted({b for v in group for b in h_succ[v] if b in zy}
-                         | {a for a in zy for b in h_succ[a] if b in gset})
-        touch_x = sorted({b for v in group for b in h_succ[v] if b in zx}
-                         | {a for a in zx for b in h_succ[a] if b in gset})
-        if len(touch_y) != 1 or len(touch_x) != 1:
-            continue
-        vy, ux = touch_y[0], touch_x[0]
-        corridor = _directed_through(h_succ, gset, vy, ux)
-        if corridor is None:
-            continue  # no usable direction, capacity would be spurious
-        conduits[(vy, ux)] = corridor
-        replaced.add(cid)
 
     y_cap = 2 if cand.kind == "pinned_both" else 1
-    x_cap = 2
-    caps = {SOURCE: BIG, SINK: BIG}
-    for v in sorted(zy):
-        caps[v] = y_cap
-    for v in sorted(zx):
-        caps[v] = x_cap
-    for v in interior:
-        if comp_of[v] not in replaced:
-            caps[v] = 1
-    arcs = [(v, b, BIG) for v in sorted(caps) if v >= 0 for b in h_succ[v] if b in caps]
-    arcs += [(vy, ux, 1) for vy, ux in sorted(conduits)]
-    arcs += [(SOURCE, v, BIG) for v in sorted(zy)]
-    arcs += [(v, SINK, BIG) for v in sorted(zx)]
-    net = FlowNetwork.over(caps, arcs)
-    return CandidateNetwork(net=net, zy=zy, zx=zx, conduits=conduits, h_succ=h_succ, h_edges=h_edges)
-
-
-def _directed_through(
-    h_succ: dict[int, list[int]], allowed: set[int], start: int, goal: int
-) -> list[int] | None:
-    """Fewest-hop directed walk start to goal with its inner vertices in allowed."""
-    return bfs_path(start, goal, lambda x: (y for y in h_succ[x] if y == goal or y in allowed))
+    net = endpoint_net(
+        sorted(verts),
+        h_succ.__getitem__,
+        [(v, y_cap) for v in sorted(zy)],
+        [(v, 2) for v in sorted(zx)],
+    )
+    return CandidateNetwork(net=net, zy=zy, zx=zx, h_succ=h_succ)
 
 
 def candidate_flow_quota(cand: BackwardCandidate) -> int:
@@ -638,27 +583,6 @@ def best_backward_pair(ctx: CoreContext) -> tuple[BackwardCandidate, list[int]] 
 # realization
 
 
-def _expand_conduit_units(cn: CandidateNetwork, units: list[list[int]]) -> list[list[int]]:
-    """Replace corridor arcs in flow unit paths by their concrete corridors.
-
-    Each corridor may back at most one unit; a pair that is also a plain edge
-    stays an edge once the corridor is spent.
-    """
-    spent: set[tuple[int, int]] = set()
-    out: list[list[int]] = []
-    for unit in units:
-        path = [unit[0]]
-        for a, b in zip(unit, unit[1:]):
-            if (a, b) in cn.conduits and (a, b) not in spent:
-                spent.add((a, b))
-                path.extend(cn.conduits[(a, b)][1:])
-            else:
-                assert (a, b) in cn.h_edges
-                path.append(b)
-        out.append(path)
-    return out
-
-
 def _trim_unit(cn: CandidateNetwork, unit: list[int]) -> list[int]:
     """Clip a unit path to its last y-cluster vertex and first x-cluster vertex."""
     i0 = max(i for i, v in enumerate(unit) if v in cn.zy)
@@ -758,21 +682,26 @@ def _realize_pinned_both(
 ) -> list[int] | None:
     """Expand a doubly pinned pair: the first slot assignment of three unit
     paths that joins into a simple path, or None."""
-    units = _expand_conduit_units(cn, res.unit_paths)
-    units = [_trim_unit(cn, u) for u in units]
+    units = [_trim_unit(cn, u) for u in res.unit_paths]
     pool: list[list[int]] = []
     for u in units:
         if u not in pool:
             pool.append(u)
-    # wide augmenting rounds can hand back the same walk twice and starve a
-    # slot; direct cluster-to-cluster walks refill the pool with fresh ones,
-    # up to 8 walks so that the trio permutations stay bounded
+    # the ends have capacity 2, so two units can take the same direct y->x
+    # arc, and the slot rules (y1 != y2, y1 != y3, x2 != x3) forbid two
+    # paths with the same two ends in one trio.  Direct cluster-to-cluster
+    # walks refill the pool, up to 8 walks so that the trio permutations
+    # stay bounded.  Over 50,000 seeded small random graphs, weighted grids
+    # and zgrids, 162 of 175 calls got only two distinct units, 146 of the
+    # 158 wins used a refill walk, and one call reached the cap.
     interiors = {v for v in cn.h_succ if v not in cn.zy and v not in cn.zx}
     for y in sorted(cn.zy):
         for x in sorted(cn.zx):
             if len(pool) >= 8:
                 break
-            walk = _directed_through(cn.h_succ, interiors, y, x)
+            walk = bfs_path(
+                y, x, lambda a: (b for b in cn.h_succ[a] if b == x or b in interiors)
+            )
             if walk is not None and walk not in pool:
                 pool.append(walk)
     for trio in permutations(pool, 3):
@@ -834,7 +763,7 @@ def _realize_pinned_s(
     spdag, partition, dag = ctx.spdag, ctx.partition, ctx.dag
     cx, cy = cand.comp_x, cand.comp_y
     level_y = dag.comp_level[cy]
-    unit = _trim_unit(cn, _expand_conduit_units(cn, res.unit_paths[:1])[0])
+    unit = _trim_unit(cn, res.unit_paths[0])
     route = cluster_route(dag, cy, dag.target_comp, banned={cx})
     expanded = expand_comp_walk(
         partition, dag, route, [True] * (len(route) - 1), unit[0], spdag.target

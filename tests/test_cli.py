@@ -5,6 +5,7 @@ import functools
 import io
 
 import ntsp.cli as cli
+import ntsp.detour
 import ntsp.zigzag
 from graphcases import named_graph
 from ntsp.dominators import UnreachableVertexError
@@ -135,6 +136,18 @@ def test_open_pair_flow_failure_exit_four(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("ntsp: internal error: RealizationExhausted: open pair")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_bad_detour_witness_exit_four(tmp_path, capsys, monkeypatch):
+    # tri's answer is a detour of length 2; a construction that hands back
+    # the length-1 shortest path instead must fail the witness check loudly
+    path, s, t = fixture_file(tmp_path, "tri")
+    monkeypatch.setattr(ntsp.detour, "_direct", lambda g, labels, parent, x, y: [s, t])
+    assert run(["solve", path, "-s", str(s), "-t", str(t)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ntsp: internal error: RealizationExhausted: crossing")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 

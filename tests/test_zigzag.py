@@ -12,7 +12,10 @@ from ntsp.solver import build_core_context, next_to_shortest
 from ntsp.sssp import distance_labels
 from ntsp.zerostruct import backward_feasible
 from ntsp.zigzag import (
+    BIG,
     KIND_RANK,
+    SINK,
+    SOURCE,
     BackwardCandidate,
     _realize_open,
     _realize_pinned_both,
@@ -263,6 +266,12 @@ def test_candidate_steps_match_zero_edge_scan(criterion_corpus):
         for cand in pinned_candidate_pairs(ctx):
             cn = build_candidate_network(ctx, cand)
             assert cn.h_succ == scanned_h_succ(ctx, cand, cn), (label, cand)
+            # one node per span vertex, none contracted away, capacity by role
+            assert set(cn.net.labels) == set(cn.h_succ) | {SOURCE, SINK}, (label, cand)
+            y_cap = 2 if cand.kind == "pinned_both" else 1
+            for v, cap in zip(cn.net.labels, cn.net.caps):
+                role = BIG if v < 0 else y_cap if v in cn.zy else 2 if v in cn.zx else 1
+                assert cap == role, (label, cand, v)
             kinds[cand.kind] += 1
     # 1,302 pinned_t, 1,310 pinned_s and 80 pinned_both candidates
     assert min(kinds[k] for k in ("pinned_both", "pinned_s", "pinned_t")) >= 50, kinds
@@ -323,9 +332,9 @@ def test_lazy_walk_matches_eager_sorted_walk(criterion_corpus):
 def test_one_construction_per_kind():
     # Every best open pair realizes by its one construction, and so does
     # every s- or t-pinned pair whose flow test passes at or below the
-    # answer's delta, which holds every pair the walk can reach.  Above that
-    # delta, 143 of the 1,132 pinned pairs here that pass their flow test
-    # fail the second flow; the walk never gets that far.
+    # answer's delta, which holds every pair the walk can reach.  Of the
+    # 1,155 pinned pairs here that pass their flow test, 155 fail the second
+    # flow, all above that delta; the walk never gets that far.
     cases = list(weighted_grids(1))
     for k in range(4, 13):
         for p in (0.2, 0.4, 0.6):
