@@ -2,12 +2,10 @@
 
 Every such path crosses some edge absent from both the shortest-path tree
 and the core; crossing (x, y) costs at least from_s[x] + w + to_t[y].  The
-scan takes the minimum of that score over the usable edges, in one pass that
-keeps only the crossings at the minimum score.  A crossing turns into a
-concrete simple path by one of three shapes.  Each shape is one construction
-whose length the distance labels fix in advance, and it runs only when that
-length is the score, so a path it returns needs no second look; the caller
-checks the final witness once.
+scan keeps, in one pass over the usable edges, the crossings of minimum score.
+Each of the three shapes that turn a crossing into a simple path is one
+construction whose length the distance labels fix; it runs only when that
+length is the score, and the chosen witness is checked once.
 
 An edge is usable only when its endpoints hang from different anchors.  The
 anchor of v is the root of the maximal tree stretch above v with no core

@@ -382,11 +382,10 @@ class BackwardCandidate:
 class CandidateNetwork:
     """Flow network over the span between a candidate's two clusters.
 
-    Every span vertex is a node of capacity 1, except the end clusters':
-    zy's nodes hang off the source with capacity 2 for a pinned_both pair
-    and 1 otherwise, zx's into the sink with capacity 2.  h_succ holds the
-    span's steps, which the network's arcs follow and the direct
-    cluster-to-cluster walks reuse.
+    Every span vertex is a unit node, except that zy hangs off the source
+    with capacity 2 for a pinned_both pair and 1 otherwise, and zx feeds
+    the sink with capacity 2.  h_succ holds the span's steps, which the
+    arcs follow and the direct cluster-to-cluster walks reuse.
     """
 
     net: FlowNetwork
@@ -687,13 +686,12 @@ def _realize_pinned_both(
     for u in units:
         if u not in pool:
             pool.append(u)
-    # the ends have capacity 2, so two units can take the same direct y->x
-    # arc, and the slot rules (y1 != y2, y1 != y3, x2 != x3) forbid two
-    # paths with the same two ends in one trio.  Direct cluster-to-cluster
-    # walks refill the pool, up to 8 walks so that the trio permutations
-    # stay bounded.  Over 50,000 seeded small random graphs, weighted grids
-    # and zgrids, 162 of 175 calls got only two distinct units, 146 of the
-    # 158 wins used a refill walk, and one call reached the cap.
+    # Two units can share one direct y->x arc, since the ends have capacity
+    # 2, and the slot rules (y1 != y2, y1 != y3, x2 != x3) forbid two paths
+    # with the same ends in one trio.  Direct walks refill the pool, capped
+    # at 8 to bound the trio permutations.  On 50,000 seeded small queries,
+    # 162 of 175 calls got two distinct units, 146 of 158 wins used a
+    # refill walk and one call hit the cap.
     interiors = {v for v in cn.h_succ if v not in cn.zy and v not in cn.zx}
     for y in sorted(cn.zy):
         for x in sorted(cn.zx):
