@@ -76,7 +76,7 @@ def _check_result(g, s: int, t: int, res: NtspResult) -> str | None:
             ei = g.edge_index(a, b)
             if ei is None:
                 return f"witness path uses missing edge {a}-{b}"
-            total += g.edges[ei][2]
+            total += g.ew[ei]
         if total != res.length:
             return f"witness path has length {total}, reported {res.length}"
     return None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .graph import Graph
 from .spdag import SpDag
-from .sssp import INF, DistLabels, bfs_path, tree_path
+from .sssp import INF, DistLabels, tree_path
 from .zigzag import RealizationExhausted, disjoint_st_pair, strict_join
 
 
@@ -57,7 +57,7 @@ def detour_candidates(
     from_s, to_t = labels.from_s, labels.to_t
     best = INF
     ties: list[tuple[int, int, int, int]] = []
-    for (u, v, w), core in zip(g.edges, spdag.core_edge):
+    for u, v, w, core in zip(g.eu, g.ev, g.ew, spdag.core_edge):
         if core or anchor[u] == anchor[v]:
             continue
         f = from_s[u] + w + to_t[v]
@@ -79,7 +79,7 @@ def _path_length(g: Graph, path: list[int]) -> int:
         ei = g.edge_index(a, b)
         if ei is None:
             return -1
-        total += g.edges[ei][2]
+        total += g.ew[ei]
     return total
 
 
@@ -94,12 +94,28 @@ def _accept(g: Graph, labels: DistLabels, path: list[int], goal: int) -> bool:
 def _tight_descent(
     g: Graph, labels: DistLabels, start: int, banned: set[int]
 ) -> list[int] | None:
-    """Fewest-hop walk start to t along edges that spend to_t exactly."""
+    """Fewest-hop walk start to t along edges that spend to_t exactly,
+    avoiding banned.  A breadth-first search over the CSR rows in neighbour
+    order, so among equally short walks the smallest ids win, as in
+    sssp.bfs_path."""
+    goal = labels.target
+    if start == goal:
+        return [start]
     to_t = labels.to_t
-    return bfs_path(
-        start, labels.target,
-        lambda a: (nb for nb, w, _ in g.adj[a] if nb not in banned and to_t[a] == w + to_t[nb]),
-    )
+    off, nbr, wt = g.off, g.nbr, g.wt
+    prev = {start: start}
+    queue = [start]
+    for x in queue:
+        tx = to_t[x]
+        for i in range(off[x], off[x + 1]):
+            y = nbr[i]
+            if tx != wt[i] + to_t[y] or y in prev or y in banned:
+                continue
+            prev[y] = x
+            if y == goal:
+                return tree_path(prev, start, goal)
+            queue.append(y)
+    return None
 
 
 def _direct(g: Graph, labels: DistLabels, parent: list[int], x: int, y: int) -> list[int] | None:

@@ -1,9 +1,10 @@
 """Immediate dominators of a rooted digraph, iteratively, near-linear time.
 
-Both routines end in _nca_tree, which sets idom(v) to the nearest common
-ancestor, in the tree built so far, of nodes that come before v: v's DFS
-parent and semidominator for the core (semi-NCA), v's predecessors for the
-acyclic cluster DAG.  Recursion is avoided throughout; the inputs can have
+Both routines end in dag_dominators, which sets idom(v) to the nearest
+common ancestor, in the tree built so far, of nodes that come before v:
+v's predecessors for the acyclic cluster DAG, v's DFS parent and
+semidominator for the core (semi-NCA: they span a DAG with the same
+dominators).  Recursion is avoided throughout; the inputs can have
 a hundred thousand vertices without touching the interpreter stack limit.
 """
 from __future__ import annotations
@@ -39,13 +40,16 @@ class DomTree:
 
 def immediate_dominators(
     n: int,
-    succ: list[list[int]] | tuple,
-    pred: list[list[int]] | tuple,
+    succ: list | tuple,
+    pred: list | tuple,
     root: int,
     active: list[int],
 ) -> DomTree:
     """Dominator tree of the digraph given by succ (pred its reverse), rooted
     at root, by semi-NCA (Georgiadis, Tarjan and Werneck, 2006).
+
+    Rows list (neighbour, weight) pairs sorted by neighbour, the SpDag row
+    format, so the core's rows are read as they are; weights are ignored.
 
     One pass back over the DFS preorder finds semidominators with simple
     path compression; then idom(v) is the nearest common ancestor of
@@ -65,7 +69,7 @@ def immediate_dominators(
         vertex.append(v)
         parent[v] = p
         # reversed so the smallest successor is explored first
-        for nb in reversed(succ[v]):
+        for nb, _ in reversed(succ[v]):
             if dfnum[nb] == -1:
                 stack.append((nb, v))
 
@@ -97,7 +101,7 @@ def immediate_dominators(
         v = vertex[i]
         p = parent[v]
         s = p
-        for u in pred[v]:
+        for u, _ in pred[v]:
             if dfnum[u] == -1:
                 continue  # unreachable from root
             if dfnum[u] <= dfnum[v]:
@@ -109,31 +113,19 @@ def immediate_dominators(
         semi[v] = dfnum[s]
         ancestor[v] = p
         ups[v] = (p, s)
-    return _nca_tree(n, ups, vertex, root)
+    return dag_dominators(n, ups, vertex, root)
 
 
-def dag_dominators(
-    count: int, pred_rows: list | tuple, order: list[int], root: int
-) -> DomTree:
+def dag_dominators(count: int, ups: list | tuple, order: list[int], root: int) -> DomTree:
     """Dominator tree of an acyclic digraph, in one pass over order.
 
-    order lists all count nodes so that every arc runs forward in it;
-    pred_rows[v] lists v's arcs in, each a tuple whose first item is the
-    tail.  In a DAG, idom(v) is the nearest common ancestor, in the tree
-    built so far, of v's predecessors (Cooper, Harvey and Kennedy).  A node
-    other than root with no way in raises UnreachableVertexError; root's
-    own arcs in would come from such nodes, which sit before it in order.
-    """
-    return _nca_tree(count, [[arc[0] for arc in row] for row in pred_rows], order, root)
-
-
-def _nca_tree(count: int, ups: list, order: list[int], root: int) -> DomTree:
-    """Tree in which each node's parent is the nearest common ancestor of
-    the nodes in ups[v], all of which come before v in order.
-
-    Each node keeps one skew-binary jump pointer (Myers), so an ancestor
-    lookup takes O(log count) steps.  An empty ups[v] for v other than
-    root raises UnreachableVertexError.
+    order lists the nodes so that every arc runs forward in it; ups[v]
+    lists v's predecessors.  In a DAG, idom(v) is the nearest common
+    ancestor, in the tree built so far, of v's predecessors (Cooper, Harvey
+    and Kennedy).  Each node keeps one skew-binary jump pointer (Myers), so
+    an ancestor lookup takes O(log count) steps.  A node other than root
+    with no way in raises UnreachableVertexError; root's own arcs in would
+    come from such nodes, which sit before it in order.
     """
     idom = [-1] * count
     depth = [-1] * count
@@ -199,12 +191,7 @@ def _interval_tree(n: int, root: int, idom: list[int], nodes: list[int]) -> DomT
 def core_dominator_trees(spdag) -> tuple[DomTree, DomTree]:
     """Dominators from s, and from t over the reversed arcs."""
     active = spdag.core_vertices()
-    # only core vertices have arcs; the rest share one empty row
-    succ: list = [()] * spdag.n
-    pred: list = [()] * spdag.n
-    for v in active:
-        succ[v] = [nb for nb, _ in spdag.succ_all[v]]
-        pred[v] = [nb for nb, _ in spdag.pred_all[v]]
+    succ, pred = spdag.succ_all, spdag.pred_all
     ts = immediate_dominators(spdag.n, succ, pred, spdag.source, active)
     tt = immediate_dominators(spdag.n, pred, succ, spdag.target, active)
     return ts, tt

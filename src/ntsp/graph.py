@@ -8,7 +8,10 @@ nonnegative integer weights are accepted.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from itertools import accumulate
 
 
 class GraphError(ValueError):
@@ -43,48 +46,138 @@ class InfeasibleSpecError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected weighted graph with canonical edge order.
+VERTEX = "i"  # typecode of vertex ids, offsets and edge ids
+WEIGHT = "I"  # typecode of weights: unsigned 32 bits, the text format's limit
 
-    edges holds (u, v, w) with u < v, sorted; adj[v] lists (neighbor, weight,
-    edge_index) sorted by neighbor id.  Instances are immutable and safe to
-    share between threads.
+
+class _Rows:
+    """Read-only view of the CSR rows: rows[v] is v's (neighbour, weight,
+    edge_index) triples sorted by neighbour, built from the arrays on each
+    access.  Nothing on the query path reads it."""
+
+    __slots__ = ("_g",)
+
+    def __init__(self, g: Graph):
+        self._g = g
+
+    def __len__(self) -> int:
+        return self._g.n
+
+    def __getitem__(self, v: int) -> tuple[tuple[int, int, int], ...]:
+        g = self._g
+        a, b = g.off[v], g.off[v + 1]
+        return tuple(zip(g.nbr[a:b], g.wt[a:b], g.eid[a:b]))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._g.n))
+
+
+@dataclass(slots=True)
+class Graph:
+    """Undirected weighted graph in flat arrays, with canonical edge order.
+
+    Edge i joins eu[i] < ev[i] with weight ew[i]; edges are sorted by
+    (eu, ev).  Row v of the CSR layout is the index range off[v]:off[v+1]
+    of nbr, wt and eid: v's neighbours sorted by id, the weights and the
+    edge indices of the edges to them.
+
+    Immutable by convention, not by type: neither the fields nor the arrays
+    are frozen (a frozen dataclass costs a tiny graph more to build than its
+    rows), but nothing writes to them once build_graph returns, so a Graph
+    is safe to share between threads.  It is not hashable.  Equality
+    compares n and the edge columns, which fix the rows.
+
+    edges and adj rebuild the tuple forms, (u, v, w) per edge and a
+    per-row view of (neighbour, weight, edge_index), on each access; they
+    are for tests and referees, and the solver reads the arrays.
     """
 
     n: int
-    edges: tuple[tuple[int, int, int], ...]
-    adj: tuple[tuple[tuple[int, int, int], ...], ...]
+    eu: array
+    ev: array
+    ew: array
+    off: array = field(compare=False, repr=False)
+    nbr: array = field(compare=False, repr=False)
+    wt: array = field(compare=False, repr=False)
+    eid: array = field(compare=False, repr=False)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.eu)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(zip(self.eu, self.ev, self.ew))
+
+    @property
+    def adj(self) -> _Rows:
+        return _Rows(self)
 
     def edge_index(self, u: int, v: int) -> int | None:
-        """Index into edges for {u, v}, or None if absent."""
+        """Index into the edge columns for {u, v}, or None if absent."""
         if u > v:
             u, v = v, u
-        for nb, _, idx in self.adj[u]:
-            if nb == v:
-                return idx
-            if nb > v:
-                return None
-        return None
+        nbr = self.nbr
+        end = self.off[u + 1]
+        i = bisect_left(nbr, v, self.off[u], end)
+        return self.eid[i] if i < end and nbr[i] == v else None
 
 
 def build_graph(n: int, edge_list) -> Graph:
     """Canonicalize an iterable of (u, v, w) into a Graph.
 
-    Assumes the edges were already validated (no loops or duplicates) and the
-    graph is connected; parse_graph and random_graph guarantee that.
+    Assumes the edges were already validated (no loops or duplicates,
+    weights in [0, 2**32)) and the graph is connected; parse_graph and
+    random_graph guarantee that.
     """
-    edges = tuple(sorted((min(u, v), max(u, v), w) for u, v, w in edge_list))
-    adj_lists: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for idx, (u, v, w) in enumerate(edges):
-        adj_lists[u].append((v, w, idx))
-        adj_lists[v].append((u, w, idx))
-    adj = tuple(tuple(sorted(lst)) for lst in adj_lists)
-    return Graph(n=n, edges=edges, adj=adj)
+    return _from_weights(n, {(u * n + v if u < v else v * n + u): w for u, v, w in edge_list})
+
+
+def _from_weights(n: int, weight: dict[int, int]) -> Graph:
+    """The Graph whose edge {a, b}, a < b, has weight weight[a * n + b].
+
+    The keys sort into the canonical edge order.  One counting fill over
+    the sorted edges then lays out the rows: edge (a, b) lands in row a
+    after every edge (x, a), x < a, which comes earlier in that order, so
+    each row comes out sorted by neighbour with no sort of its own.  The
+    columns are built as lists, which index faster than arrays, and each
+    becomes an array as soon as it is complete.  weight is emptied.
+    """
+    keys = sorted(weight)
+    ew = [weight[k] for k in keys]
+    weight.clear()  # the caller's reference would keep it alive during the fill
+    eu = [k // n for k in keys]
+    ev = [k % n for k in keys]
+    del keys
+    deg = [0] * n
+    for x in eu:
+        deg[x] += 1
+    for x in ev:
+        deg[x] += 1
+    off = list(accumulate(deg, initial=0))
+    pos = off[:]
+    nbr = [0] * off[n]
+    wt = [0] * off[n]
+    eid = [0] * off[n]
+    i = 0
+    for u, v, w in zip(eu, ev, ew):
+        p = pos[u]
+        pos[u] = p + 1
+        nbr[p] = v
+        wt[p] = w
+        eid[p] = i
+        p = pos[v]
+        pos[v] = p + 1
+        nbr[p] = u
+        wt[p] = w
+        eid[p] = i
+        i += 1
+    nbr = array(VERTEX, nbr)
+    wt = array(WEIGHT, wt)
+    eid = array(VERTEX, eid)
+    return Graph(
+        n, array(VERTEX, eu), array(VERTEX, ev), array(WEIGHT, ew), array(VERTEX, off), nbr, wt, eid
+    )
 
 
 def _connected(n: int, edges) -> bool:
@@ -170,7 +263,7 @@ def parse_graph(text: bytes | str) -> Graph:
 def serialize_graph(g: Graph) -> str:
     """Inverse of parse_graph, bit-exact: header then edges in canonical order."""
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v} {w}" for u, v, w in g.edges)
+    lines.extend(f"{u} {v} {w}" for u, v, w in zip(g.eu, g.ev, g.ew))
     return "\n".join(lines) + "\n"
 
 
@@ -184,6 +277,8 @@ def random_graph(n: int, m: int, max_w: int, zero_prob: float, seed: int) -> Gra
         raise InfeasibleSpecError(f"infeasible combination n={n} m={m}", None)
     if max_w < 1:
         raise InfeasibleSpecError(f"max weight must be at least 1, got {max_w}", None)
+    if max_w >= 1 << 32:
+        raise InfeasibleSpecError(f"max weight must be below 2**32, got {max_w}", None)
     if not 0 <= zero_prob <= 1:
         raise InfeasibleSpecError(f"zero probability must lie in [0, 1], got {zero_prob}", None)
     rng = random.Random(seed)
@@ -195,23 +290,20 @@ def random_graph(n: int, m: int, max_w: int, zero_prob: float, seed: int) -> Gra
 
     order = list(range(n))
     rng.shuffle(order)
-    pairs: set[tuple[int, int]] = set()
-    edge_list: list[tuple[int, int, int]] = []
+    # edge {a, b}, a < b, is the key a * n + b; the dict is the duplicate check
+    weight: dict[int, int] = {}
     for i in range(1, n):
         u = order[rng.randrange(i)]
         v = order[i]
-        a, b = (u, v) if u < v else (v, u)
-        pairs.add((a, b))
-        edge_list.append((a, b, draw_weight()))
-    while len(edge_list) < m:
+        weight[u * n + v if u < v else v * n + u] = draw_weight()
+    del order
+    while len(weight) < m:
         a = rng.randrange(n)
         b = rng.randrange(n)
         if a == b:
             continue
-        if a > b:
-            a, b = b, a
-        if (a, b) in pairs:
+        key = a * n + b if a < b else b * n + a
+        if key in weight:
             continue
-        pairs.add((a, b))
-        edge_list.append((a, b, draw_weight()))
-    return build_graph(n, edge_list)
+        weight[key] = draw_weight()
+    return _from_weights(n, weight)

@@ -26,10 +26,11 @@ def enumerate_simple_st_paths(
 ) -> tuple[list[list[int]], bool]:
     """All simple s-t paths as vertex lists, plus a truncation flag."""
     paths: list[list[int]] = []
+    off, nbr = g.off, g.nbr
     on_path = bytearray(g.n)
     on_path[s] = 1
     cur = [s]
-    stack: list[tuple[int, int]] = [(s, 0)]
+    stack: list[tuple[int, int]] = [(s, off[s])]
     truncated = False
     while stack:
         v, ptr = stack[-1]
@@ -42,13 +43,13 @@ def enumerate_simple_st_paths(
             on_path[v] = 0
             cur.pop()
             continue
-        if ptr < len(g.adj[v]):
+        if ptr < off[v + 1]:
             stack[-1] = (v, ptr + 1)
-            nb = g.adj[v][ptr][0]
+            nb = nbr[ptr]
             if not on_path[nb]:
                 on_path[nb] = 1
                 cur.append(nb)
-                stack.append((nb, 0))
+                stack.append((nb, off[nb]))
         else:
             stack.pop()
             on_path[v] = 0
@@ -61,7 +62,7 @@ def path_length(g: Graph, path: list[int]) -> int:
     for a, b in zip(path, path[1:]):
         idx = g.edge_index(a, b)
         assert idx is not None, f"no edge {a}-{b}"
-        total += g.edges[idx][2]
+        total += g.ew[idx]
     return total
 
 
@@ -165,9 +166,8 @@ def oracle_trim_off_path_components(
     for b, blk in enumerate(blocks):
         seen: set[int] = set()
         for idx in blk:
-            u, v, _ = g.edges[idx]
-            seen.add(u)
-            seen.add(v)
+            seen.add(g.eu[idx])
+            seen.add(g.ev[idx])
         block_verts.append(sorted(seen))
         for v in seen:
             block_of[v].append(b)

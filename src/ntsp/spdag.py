@@ -16,7 +16,7 @@ from .graph import Graph
 from .sssp import DistLabels
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SpDag:
     """Trimmed shortest-path structure with positive edges oriented away from s.
 
@@ -46,18 +46,20 @@ class SpDag:
 
 
 def distance_tight_subgraph(g: Graph, labels: DistLabels) -> tuple[list[bool], list[bool]]:
-    """Flags (per vertex, per edge index) for the tight subgraph."""
+    """Flags (per vertex, per edge index) for the tight subgraph.
+
+    An edge is tight when crossing it one way or the other costs exactly
+    the s-t distance; by the triangle inequality both its ends are then
+    tight too.
+    """
     dst = labels.shortest
     from_s = labels.from_s
     to_t = labels.to_t
-    tight_v = [from_s[v] + to_t[v] == dst for v in range(g.n)]
-    tight_e = [False] * g.m
-    for idx, (u, v, w) in enumerate(g.edges):
-        if not (tight_v[u] and tight_v[v]):
-            continue
-        d = from_s[v] - from_s[u]
-        if d == w or -d == w:
-            tight_e[idx] = True
+    tight_v = [a + b == dst for a, b in zip(from_s, to_t)]
+    tight_e = [
+        from_s[u] + w + to_t[v] == dst or from_s[v] + w + to_t[u] == dst
+        for u, v, w in zip(g.eu, g.ev, g.ew)
+    ]
     return tight_v, tight_e
 
 
@@ -74,10 +76,9 @@ def trim_off_path_components(
     Running the trim twice changes nothing.
     """
     s, t = labels.source, labels.target
-    edges = g.edges
+    eu, ev = g.eu, g.ev
     nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in compress(range(g.n), tight_v)}
-    for idx in compress(range(g.m), tight_e):
-        u, v, _ = edges[idx]
+    for idx, u, v in compress(zip(range(g.m), eu, ev), tight_e):
         nbrs[u].append((v, idx))
         nbrs[v].append((u, idx))
 
@@ -114,21 +115,24 @@ def trim_off_path_components(
                 # since v, so t lies in it exactly when disc[t] >= disc[v].
                 if disc[t] >= disc[v]:
                     for idx in edge_stack[base:]:
-                        a, b, _ = edges[idx]
-                        core_e[idx] = core_v[a] = core_v[b] = True
+                        core_e[idx] = core_v[eu[idx]] = core_v[ev[idx]] = True
                 del edge_stack[base:]
     return core_v, core_e
 
 
 def orient_core(g: Graph, labels: DistLabels, core_v: list[bool], core_e: list[bool]) -> SpDag:
-    """Package the trimmed structure with positive arcs pointing toward t."""
+    """Package the trimmed structure with positive arcs pointing toward t.
+
+    The edges come in canonical order, so each row fills in neighbour order
+    and the zero edges come sorted, as in the graph's own rows.
+    """
     from_s = labels.from_s
     core = [v for v in range(g.n) if core_v[v]]
     arcs: list[tuple[int, int, int]] = []
     zero_edges: list[tuple[int, int]] = []
     succ: dict[int, list[tuple[int, int]]] = {v: [] for v in core}
     pred: dict[int, list[tuple[int, int]]] = {v: [] for v in core}
-    for u, v, w in compress(g.edges, core_e):
+    for u, v, w in compress(zip(g.eu, g.ev, g.ew), core_e):
         if w == 0:
             zero_edges.append((u, v))
             succ[u].append((v, 0))
@@ -144,8 +148,8 @@ def orient_core(g: Graph, labels: DistLabels, core_v: list[bool], core_e: list[b
     succ_all: list = [()] * g.n
     pred_all: list = [()] * g.n
     for v in core:
-        succ_all[v] = tuple(sorted(succ[v]))
-        pred_all[v] = tuple(sorted(pred[v]))
+        succ_all[v] = tuple(succ[v])
+        pred_all[v] = tuple(pred[v])
     return SpDag(
         n=g.n,
         source=labels.source,
@@ -153,7 +157,7 @@ def orient_core(g: Graph, labels: DistLabels, core_v: list[bool], core_e: list[b
         in_core=tuple(core_v),
         core_edge=tuple(core_e),
         arcs=tuple(sorted(arcs)),
-        zero_edges=tuple(sorted(zero_edges)),
+        zero_edges=tuple(zero_edges),
         succ_all=tuple(succ_all),
         pred_all=tuple(pred_all),
         level=tuple(labels.from_s),

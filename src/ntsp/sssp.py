@@ -1,7 +1,9 @@
 """Single-source shortest paths and the deterministic shortest-path tree.
 
-One heap loop, `shortest_path_tree`, yields the distances and the tree
-together; `dijkstra` and `distance_labels` read their distances off it.
+`shortest_path_tree` yields the distances and the tree together, in one
+heap loop; `dijkstra` runs the same loop for distances only, with no tree
+bookkeeping, and `distance_labels` calls it from both endpoints.  Both read
+the graph's CSR rows.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ def shortest_path_tree(g: Graph, root: int) -> tuple[list[int], list[int], list[
     d * n + v, which order like (d, v).
     """
     n = g.n
-    adj = g.adj
+    off, nbr, wt, eid = g.off, g.nbr, g.wt, g.eid
     dist: list[int | float] = [INF] * n
     parent = [-1] * n
     parent_edge = [-1] * n
@@ -40,27 +42,48 @@ def shortest_path_tree(g: Graph, root: int) -> tuple[list[int], list[int], list[
             continue
         done[u] = 1
         d = dist[u]
-        for v, w, ei in adj[u]:
-            nd = d + w
+        for i in range(off[u], off[u + 1]):
+            v = nbr[i]
+            nd = d + wt[i]
             dv = dist[v]
             if nd < dv:
                 dist[v] = nd
                 parent[v] = u
-                parent_edge[v] = ei
+                parent_edge[v] = eid[i]
                 push(heap, nd * n + v)
             elif nd == dv and u < parent[v] and not done[v]:
                 parent[v] = u
-                parent_edge[v] = ei
+                parent_edge[v] = eid[i]
     # connected input: every vertex is reached
     return dist, parent, parent_edge  # type: ignore[return-value]
 
 
 def dijkstra(g: Graph, root: int) -> list[int]:
-    """Distance from root to every vertex."""
-    return shortest_path_tree(g, root)[0]
+    """Distance from root to every vertex: shortest_path_tree's heap loop,
+    in the same order, without the parent arrays."""
+    n = g.n
+    off, nbr, wt = g.off, g.nbr, g.wt
+    dist: list[int | float] = [INF] * n
+    done = bytearray(n)
+    dist[root] = 0
+    heap = [root]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        u = pop(heap) % n
+        if done[u]:
+            continue
+        done[u] = 1
+        d = dist[u]
+        for i in range(off[u], off[u + 1]):
+            v = nbr[i]
+            nd = d + wt[i]
+            if nd < dist[v]:
+                dist[v] = nd
+                push(heap, nd * n + v)
+    return dist  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DistLabels:
     """Distances from both query endpoints plus the s-t distance."""
 

@@ -118,7 +118,7 @@ def zero_path_within(partition: ZeroPartition, a: int, b: int) -> list[int]:
     return path
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClusterDag:
     """Contraction of the core onto zero clusters.
 
@@ -184,17 +184,22 @@ def build_cluster_dag(spdag: SpDag, partition: ZeroPartition) -> ClusterDag:
 
     succ: list[list[tuple[int, int, int, int]]] = [[] for _ in range(count)]
     pred: list[list[tuple[int, int, int, int]]] = [[] for _ in range(count)]
+    heads: list[list[int]] = [[] for _ in range(count)]  # the dominator passes' rows
+    tails: list[list[int]] = [[] for _ in range(count)]
     for (a, b), (w, u, v) in arcs.items():
         succ[a].append((b, w, u, v))
         pred[b].append((a, w, u, v))
-    for lst in succ:
-        lst.sort()
-    for lst in pred:
-        lst.sort()
+        heads[a].append(b)
+        tails[b].append(a)
+    del arcs
+    for rows in (succ, pred):
+        for c, row in enumerate(rows):
+            row.sort()
+            rows[c] = tuple(row)  # frees each list as it goes
 
     # Kahn's count: every cluster leaves the ready stack iff there is no
     # cycle, and the order they leave in feeds both dominator passes
-    indeg = [len(p) for p in pred]
+    indeg = [len(p) for p in tails]
     ready = [c for c in range(count) if indeg[c] == 0]
     order: list[int] = []
     while ready:
@@ -208,12 +213,12 @@ def build_cluster_dag(spdag: SpDag, partition: ZeroPartition) -> ClusterDag:
         raise ClusterCycleError("cluster contraction is cyclic")
 
     sc, tc = comp[spdag.source], comp[spdag.target]
-    idom_s = dag_dominators(count, pred, order, sc)
-    idom_t = dag_dominators(count, succ, order[::-1], tc)
+    idom_s = dag_dominators(count, tails, order, sc)
+    idom_t = dag_dominators(count, heads, order[::-1], tc)
     return ClusterDag(
         count=count,
-        succ=tuple(tuple(x) for x in succ),
-        pred=tuple(tuple(x) for x in pred),
+        succ=tuple(succ),
+        pred=tuple(pred),
         idom_s=idom_s,
         idom_t=idom_t,
         source_comp=sc,

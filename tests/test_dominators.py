@@ -84,8 +84,9 @@ def test_matches_removal_oracle():
 
 
 def test_unreachable_active_vertex_raises():
-    succ = [[1], [], []]
-    pred = [[], [0], []]
+    # rows hold (neighbour, weight) pairs, like SpDag rows
+    succ = [[(1, 1)], [], []]
+    pred = [[], [(0, 1)], []]
     with pytest.raises(UnreachableVertexError):
         immediate_dominators(3, succ, pred, 0, [0, 1, 2])
     # restricting the active set to what is reachable is fine
@@ -94,14 +95,14 @@ def test_unreachable_active_vertex_raises():
 
 
 def test_dag_pass_raises_on_unreachable_node():
-    # arcs 0 -> 1 and 2 -> 1; rows hold (tail,) tuples like cluster arcs
-    pred = [[], [(0,), (2,)], []]
+    # arcs 0 -> 1 and 2 -> 1; row v lists v's predecessors
+    pred = [[], [0, 2], []]
     with pytest.raises(UnreachableVertexError):
         dag_dominators(3, pred, [0, 2, 1], 0)
     # a root later in the order: what comes before it is cut off
     with pytest.raises(UnreachableVertexError):
         dag_dominators(3, pred, [2, 0, 1], 0)
-    tree = dag_dominators(3, [[], [(0,)], [(1,)]], [0, 1, 2], 0)
+    tree = dag_dominators(3, [[], [0], [1]], [0, 1, 2], 0)
     assert tree.idom == [-1, 0, 1] and tree.dominates(1, 2)
 
 
