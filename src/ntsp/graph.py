@@ -82,10 +82,10 @@ class Graph:
     edge indices of the edges to them.
 
     Immutable by convention, not by type: neither the fields nor the arrays
-    are frozen (a frozen dataclass costs a tiny graph more to build than its
-    rows), but nothing writes to them once build_graph returns, so a Graph
-    is safe to share between threads.  It is not hashable.  Equality
-    compares n and the edge columns, which fix the rows.
+    are frozen (freezing the dataclass would slow every build and still
+    leave the arrays writable), but nothing writes to them once build_graph
+    returns, so a Graph is safe to share between threads.  It is not
+    hashable.  Equality compares n and the edge columns, which fix the rows.
 
     edges and adj rebuild the tuple forms, (u, v, w) per edge and a
     per-row view of (neighbour, weight, edge_index), on each access; they

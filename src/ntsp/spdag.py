@@ -28,6 +28,10 @@ class SpDag:
     used for dominator computations and monotone searches.  Rows are built
     for core vertices only; the row of a vertex outside the core is the
     shared empty tuple.
+
+    Built once per query and never written to afterwards; not frozen,
+    since a frozen dataclass's field-by-field setattr is a measurable share
+    of a small query.
     """
 
     n: int

@@ -85,7 +85,12 @@ def dijkstra(g: Graph, root: int) -> list[int]:
 
 @dataclass(slots=True)
 class DistLabels:
-    """Distances from both query endpoints plus the s-t distance."""
+    """Distances from both query endpoints plus the s-t distance.
+
+    Built once per query and never written to afterwards; not frozen,
+    since a frozen dataclass's field-by-field setattr is a measurable share
+    of a small query.
+    """
 
     source: int
     target: int

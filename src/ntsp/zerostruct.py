@@ -126,6 +126,10 @@ class ClusterDag:
     core edge joining the two clusters; zero arcs come from severed edges.
     The arcs are checked to be acyclic when built; no topological order is
     kept (oracle.cluster_topo_order makes one for the tests).
+
+    Built once per query and never written to afterwards; not frozen,
+    since a frozen dataclass's field-by-field setattr is a measurable share
+    of a small query.
     """
 
     count: int
@@ -199,7 +203,7 @@ def build_cluster_dag(spdag: SpDag, partition: ZeroPartition) -> ClusterDag:
 
     # Kahn's count: every cluster leaves the ready stack iff there is no
     # cycle, and the order they leave in feeds both dominator passes
-    indeg = [len(p) for p in tails]
+    indeg = [len(p) for p in pred]
     ready = [c for c in range(count) if indeg[c] == 0]
     order: list[int] = []
     while ready:

@@ -135,7 +135,7 @@ def test_random_graph_rejects_infeasible():
 
 
 def test_random_graph_rejects_bad_weight_spec():
-    for max_w in (0, -1):
+    for max_w in (0, -1, 1 << 32):  # weights are stored as unsigned 32-bit ints
         with pytest.raises(InfeasibleSpecError):
             random_graph(4, 4, max_w, 0.5, seed=0)
     for zp in (-0.1, 1.5):
