@@ -68,9 +68,6 @@ class _Rows:
         a, b = g.off[v], g.off[v + 1]
         return tuple(zip(g.nbr[a:b], g.wt[a:b], g.eid[a:b]))
 
-    def __iter__(self):
-        return map(self.__getitem__, range(self._g.n))
-
 
 @dataclass(slots=True)
 class Graph:
@@ -89,7 +86,7 @@ class Graph:
 
     edges and adj rebuild the tuple forms, (u, v, w) per edge and a
     per-row view of (neighbour, weight, edge_index), on each access; they
-    are for tests and referees, and the solver reads the arrays.
+    are for tests, the oracle and referees, and the solver reads the arrays.
     """
 
     n: int
@@ -140,8 +137,9 @@ def _from_weights(n: int, weight: dict[int, int]) -> Graph:
     the sorted edges then lays out the rows: edge (a, b) lands in row a
     after every edge (x, a), x < a, which comes earlier in that order, so
     each row comes out sorted by neighbour with no sort of its own.  The
-    columns are built as lists, which index faster than arrays, and each
-    becomes an array as soon as it is complete.  weight is emptied.
+    columns are filled as lists, which index faster than arrays, and the
+    three row columns, twice as long as the rest, become arrays one at a
+    time.  weight is emptied.
     """
     keys = sorted(weight)
     ew = [weight[k] for k in keys]

@@ -205,7 +205,7 @@ def test_edge_index_matches_brute_force():
 
 def test_graph_memory_is_linear_in_edges():
     # the arrays hold about 37 bytes per edge and the build peaks near 200;
-    # the tuple layout held 312 and peaked at 537
+    # the tuple layout held 308 and peaked at 524
     gc.collect()
     tracemalloc.start()
     try:
