@@ -9,6 +9,7 @@ paths than the exhaustive search enumerates), 3 answer rejected by
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -168,6 +169,7 @@ def _add_query_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="machine readable output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ntsp", description="next-to-shortest s-t path solver")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -194,8 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PathCapExceeded as exc:  # oracle and solve --check

@@ -1,11 +1,11 @@
 """Scan for the best s-t path that leaves the tree-or-core edge set.
 
 Every such path crosses some edge absent from both the shortest-path tree
-and the core; crossing (x, y) costs at least from_s[x] + w + to_t[y].  The
-scan keeps, in one pass over the usable edges, the crossings of minimum score.
-Each of the three shapes that turn a crossing into a simple path is one
-construction whose length the distance labels fix; it runs only when that
-length is the score, and the chosen witness is checked once.
+and the core; crossing (x, y) costs at least from_s[x] + w + to_t[y].  One
+pass over the usable edges keeps the least (score, x, y, w) crossing, and
+one try of four shapes realizes it.  Each shape is one construction whose
+length the distance labels fix, run only when that length is the score; the
+witness is checked once, and no witness raises RealizationExhausted.
 
 An edge is usable only when its endpoints hang from different anchors.  The
 anchor of v is the root of the maximal tree stretch above v with no core
@@ -47,30 +47,26 @@ def anchor_array(
 def detour_candidates(
     g: Graph, labels: DistLabels, spdag: SpDag, anchor: list[int]
 ) -> list[tuple[int, int, int, int]]:
-    """The cheapest scored (f, x, y, w) crossings of usable edges, sorted.
+    """The least scored crossing (f, x, y, w) of a usable edge, as a list of
+    one, or [] when no edge is usable.
 
-    One pass over the edges keeps only the crossings, in either direction,
-    whose score f equals the minimum; the list is empty when no edge is
-    usable.  A tree edge is never usable: it is a core edge, or it gives
-    both of its ends the same anchor.
+    One pass over the edges scores each usable one in both directions and
+    keeps the least tuple, so among the crossings of minimum score f the
+    smallest (x, y) wins.  A tree edge is never usable: it is a core edge, or
+    it gives both of its ends the same anchor.
     """
     from_s, to_t = labels.from_s, labels.to_t
-    best = INF
-    ties: list[tuple[int, int, int, int]] = []
+    best = (INF,)
     for u, v, w, core in zip(g.eu, g.ev, g.ew, spdag.core_edge):
         if core or anchor[u] == anchor[v]:
             continue
         f = from_s[u] + w + to_t[v]
         r = from_s[v] + w + to_t[u]
-        if f < best or r < best:
-            best = min(f, r)
-            ties = []
-        if f == best:
-            ties.append((f, u, v, w))
-        if r == best:
-            ties.append((r, v, u, w))
-    ties.sort()
-    return ties
+        if f <= best[0] and (f, u, v, w) < best:
+            best = (f, u, v, w)
+        if r <= best[0] and (r, v, u, w) < best:
+            best = (r, v, u, w)
+    return [best] if best[0] < INF else []
 
 
 def _path_length(g: Graph, path: list[int]) -> int:
@@ -130,6 +126,13 @@ def _direct(g: Graph, labels: DistLabels, parent: list[int], x: int, y: int) -> 
     return None if desc is None else p_x + desc
 
 
+def _climb_join(parent: list[int], pair: tuple, a: int, b: int) -> list[int] | None:
+    """Climb pair s..r_a, r_b..t joined by a's stem, a->b and b's stem."""
+    p1, p2, _ = pair
+    stem_b = tree_path(parent, p2[0], b)
+    return strict_join(p1, tree_path(parent, p1[-1], a), [a, b], stem_b[::-1], p2)
+
+
 def _realize_crossing(
     g: Graph,
     labels: DistLabels,
@@ -138,16 +141,15 @@ def _realize_crossing(
     anchor: list[int],
     x: int,
     y: int,
-    w: int,
-    goal: int,
 ) -> list[int] | None:
-    """Simple s-t path of length goal == from_s[x] + w + to_t[y] through the
-    crossing, or None.
+    """Simple s-t path through the crossing x->y as long as its score, or None.
 
-    Tried in order, each only where the labels make its length goal:
-    _direct(x, y); the disjoint climb pair through both anchors joined by
-    the two tree stems, when y's stem is tight toward t; _direct(y, x),
-    when the reverse score is goal too.
+    Tried in order, each only where the labels make its length the score:
+    _direct(x, y); the climb pair s->r_x, r_y->t joined by the two tree
+    stems, when y's stem is tight toward t; _direct(y, x), when y->x scores
+    the same; and the pair swapped, s->r_y, r_x->t, joined across y->x, when
+    x's stem is tight toward t too.  disjoint_st_pair returns a single
+    orientation, so one call serves both pair shapes.
     """
     from_s, to_t = labels.from_s, labels.to_t
     path = _direct(g, labels, parent, x, y)
@@ -155,37 +157,34 @@ def _realize_crossing(
         return path
 
     r_x, r_y = anchor[x], anchor[y]
-    if from_s[y] - from_s[r_y] + to_t[r_y] == to_t[y]:
-        # s climbs to r_x, the stems bridge the crossing, r_y climbs out to t
-        pair = disjoint_st_pair(spdag, r_x, r_y)
-        if pair is not None and not pair[2]:
-            p1, p2, _ = pair
-            stem_x = tree_path(parent, r_x, x)
-            stem_y = tree_path(parent, r_y, y)
-            path = strict_join(p1, stem_x, [x, y], stem_y[::-1], p2)
-            if path is not None:
-                return path
+    tight_y = from_s[y] - from_s[r_y] + to_t[r_y] == to_t[y]
+    pair = disjoint_st_pair(spdag, r_x, r_y) if tight_y else None
+    if pair is not None and not pair[2]:
+        path = _climb_join(parent, pair, x, y)
+        if path is not None:
+            return path
 
-    if from_s[y] + w + to_t[x] == goal:
-        return _direct(g, labels, parent, y, x)
-    return None
+    if from_s[y] + to_t[x] != from_s[x] + to_t[y]:
+        return None
+    path = _direct(g, labels, parent, y, x)
+    if path is not None or from_s[x] - from_s[r_x] + to_t[r_x] != to_t[x]:
+        return path
+    if not tight_y:
+        pair = disjoint_st_pair(spdag, r_x, r_y)
+    return _climb_join(parent, pair, y, x) if pair is not None and pair[2] else None
 
 
 def shortest_detour(
     g: Graph, labels: DistLabels, spdag: SpDag, parent: list[int], anchor: list[int]
 ) -> tuple[int, list[int]] | None:
     """Best tree-leaving length and a witness path, or None when no edge
-    qualifies.  The first tie that realizes is checked once; a bad witness
-    raises RealizationExhausted, like ties that all fail."""
+    qualifies.  The least crossing is realized once and its witness checked
+    once; no path, or a bad one, raises RealizationExhausted."""
     cands = detour_candidates(g, labels, spdag, anchor)
     if not cands:
         return None
-    goal = cands[0][0]
-    for _, x, y, w in cands:
-        path = _realize_crossing(g, labels, spdag, parent, anchor, x, y, w, goal)
-        if path is None:
-            continue
-        if not _accept(g, labels, path, goal):
-            raise RealizationExhausted(f"crossing ({x}, {y}) gave a bad witness at score {goal}")
-        return goal, path
-    raise RealizationExhausted(f"no crossing at score {goal} expanded to a path")
+    goal, x, y, _ = cands[0]
+    path = _realize_crossing(g, labels, spdag, parent, anchor, x, y)
+    if path is None or not _accept(g, labels, path, goal):
+        raise RealizationExhausted(f"crossing ({x}, {y}) gave no valid witness at score {goal}")
+    return goal, path

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 from .detour import anchor_array, shortest_detour
 from .dominators import core_dominator_trees
-from .graph import Graph, GraphError
+from .graph import DisconnectedGraphError, Graph, GraphError
 from .spdag import build_core
-from .sssp import DistLabels, dijkstra, shortest_path_tree
+from .sssp import INF, DistLabels, dijkstra, shortest_path_tree
 from .sssp import distance_labels  # noqa: F401  perfbench wraps ntsp.solver.distance_labels
 from .zerostruct import build_cluster_dag, zero_clusters
 from .zigzag import CoreContext, zigzag_shortest
@@ -44,8 +44,11 @@ def validate_query(g: Graph, s: int, t: int) -> None:
 
 def distance_stage(g: Graph, s: int, t: int) -> tuple[DistLabels, list[int], list[int]]:
     """Both distance labelings plus the s-side tree (parent, parent_edge),
-    taken from the same heap pass as from_s."""
+    taken from the same heap pass as from_s.  A vertex that pass leaves
+    unreached raises DisconnectedGraphError: every later stage needs it."""
     from_s, parent, parent_edge = shortest_path_tree(g, s)
+    if INF in from_s:
+        raise DisconnectedGraphError(f"vertex {from_s.index(INF)} is not reachable from {s}")
     to_t = dijkstra(g, t)
     labels = DistLabels(source=s, target=t, from_s=from_s, to_t=to_t, shortest=from_s[t])
     return labels, parent, parent_edge

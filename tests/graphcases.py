@@ -2,10 +2,12 @@
 
 Vertex ids in the named graphs follow one convention: 0 is the query source,
 the highest id is the query target, interior vertices are numbered in the
-order they appear in the edge list below.  The exception is "phantom", kept
-exactly as fuzzing shrank it: a doubly pinned cluster pair there carries the
-three flow units of its test although no zigzag exists, and every simple
-path has the shortest length.
+order they appear in the edge list below.  The exceptions are kept exactly
+as fuzzing shrank them.  In "phantom" a doubly pinned cluster pair carries
+the three flow units of its test although no zigzag exists, and every simple
+path has the shortest length.  In "swap" the least detour crossing 1->4
+realizes only through the climb pair that disjoint_st_pair returns swapped:
+s climbs to 4's anchor and 1's anchor climbs out to t.
 """
 from __future__ import annotations
 
@@ -39,6 +41,12 @@ NAMED: dict[str, tuple[int, list[tuple[int, int, int]], int, int]] = {
          (3, 6, 0), (4, 6, 1), (5, 6, 1)],
         4, 0,
     ),
+    "swap": (
+        6,
+        [(0, 3, 0), (0, 5, 0), (1, 2, 0), (1, 3, 0), (1, 4, 1), (1, 5, 0),
+         (2, 3, 0), (2, 4, 0), (4, 5, 2)],
+        0, 5,
+    ),
 }
 
 # name -> (status, kind, length); kind and length are None for "none"
@@ -52,6 +60,7 @@ EXPECTED: dict[str, tuple[str, str | None, int | None]] = {
     "tII": ("found", "zigzag", 5),
     "tIII": ("found", "zigzag", 5),
     "phantom": ("none", None, None),
+    "swap": ("found", "detour", 1),
 }
 
 

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import ntsp
 from graphcases import named_graph
-from ntsp.solver import build_core_context
+from ntsp.detour import anchor_array, detour_candidates
+from ntsp.solver import build_core_context, distance_stage
 from ntsp.sssp import distance_labels
 from ntsp.zigzag import FlowOutcome, pinned_candidate_pairs
 
@@ -38,6 +39,11 @@ def test_counted_results_keep_their_shape():
     g, s, t = named_graph("tII")
     ctx = build_core_context(g, distance_labels(g, s, t))
     assert isinstance(pinned_candidate_pairs(ctx), list)
+    # perfbench counts the detour scan by len(); a None or tuple breaks --trace 1
+    labels, parent, parent_edge = distance_stage(g, s, t)
+    anchor = anchor_array(g, ctx.spdag, parent, parent_edge)
+    cands = detour_candidates(g, labels, ctx.spdag, anchor)
+    assert isinstance(cands, list)
     fields = {f.name for f in dataclasses.fields(FlowOutcome)}
     assert {"ok", "rounds"} <= fields
 

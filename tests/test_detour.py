@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 
 from graphcases import named_graph
-from ntsp.detour import anchor_array, detour_candidates, shortest_detour
+from ntsp.detour import _realize_crossing, anchor_array, detour_candidates, shortest_detour
 from ntsp.graph import random_graph
 from ntsp.oracle import enumerate_simple_st_paths, oracle_detour_candidates, path_length
 from ntsp.solver import distance_stage
@@ -40,6 +40,18 @@ def test_tri_single_crossing():
     labels, spdag, parent, anchor = pieces(g, s, t)
     got = shortest_detour(g, labels, spdag, parent, anchor)
     assert got == (2, [0, 1, 2])
+
+
+def test_swap_realizes_through_swapped_climb_pair():
+    # the direct walks and the unswapped climb pair all fail on the least
+    # crossing; the pair disjoint_st_pair returns swapped carries it
+    g, s, t = named_graph("swap")
+    labels, spdag, parent, anchor = pieces(g, s, t)
+    cands = detour_candidates(g, labels, spdag, anchor)
+    assert cands == [(1, 1, 4, 1)]
+    path = _realize_crossing(g, labels, spdag, parent, anchor, 1, 4)
+    assert path == [0, 3, 2, 4, 1, 5]
+    assert shortest_detour(g, labels, spdag, parent, anchor) == (1, path)
 
 
 def test_no_candidates_without_off_core_edges():

@@ -1,12 +1,16 @@
 """End-to-end solver behaviour on fixtures and random graphs."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from graphcases import EXPECTED, NAMED, named_graph
-from ntsp.graph import GraphError, build_graph, random_graph
+from ntsp.graph import DisconnectedGraphError, GraphError, build_graph, random_graph
 from ntsp.oracle import oracle_next_to_shortest, path_length
 from ntsp.solver import QueryError, next_to_shortest, validate_query
 
@@ -56,6 +60,33 @@ def test_endpoints_out_of_range():
             next_to_shortest(g, bad, t)
         with pytest.raises(GraphError):
             next_to_shortest(g, s, bad)
+
+
+def test_split_endpoints_rejected():
+    # build_graph does not check connectivity; s and t in different
+    # components must be refused cleanly, not fail on an index
+    with pytest.raises(DisconnectedGraphError):
+        next_to_shortest(build_graph(4, [(0, 1, 1), (2, 3, 1)]), 0, 3)
+
+
+def test_isolated_vertex_rejected():
+    # without the check, the anchor walk from the isolated last vertex follows
+    # parent -1 without end, so the query runs in a child whose memory is capped
+    child = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from ntsp import DisconnectedGraphError, build_graph, next_to_shortest\n"
+        "g = build_graph(4, [(0, 1, 1), (0, 2, 1), (1, 2, 5)])\n"
+        "try:\n"
+        "    next_to_shortest(g, 0, 1)\n"
+        "except DisconnectedGraphError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout == "vertex 3 is not reachable from 0\n", out.stderr
 
 
 def test_tie_prefers_detour():
