@@ -16,7 +16,7 @@ import sys
 from .graph import GraphError, parse_graph, random_graph, serialize_graph
 from .oracle import PathCapExceeded, oracle_next_to_shortest
 from .solver import NtspResult, QueryError, next_to_shortest
-from .sssp import distance_labels
+from .sssp import distance_labels, path_length
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,12 +72,10 @@ def _check_result(g, s: int, t: int, res: NtspResult) -> str | None:
         path = list(res.path)
         if path[0] != s or path[-1] != t or len(set(path)) != len(path):
             return "witness path is not a simple s-t path"
-        total = 0
-        for a, b in zip(path, path[1:]):
-            ei = g.edge_index(a, b)
-            if ei is None:
-                return f"witness path uses missing edge {a}-{b}"
-            total += g.ew[ei]
+        total = path_length(g, path)
+        if total is None:
+            a, b = next(e for e in zip(path, path[1:]) if g.edge_index(*e) is None)
+            return f"witness path uses missing edge {a}-{b}"
         if total != res.length:
             return f"witness path has length {total}, reported {res.length}"
     return None

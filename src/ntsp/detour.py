@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from .graph import Graph
 from .spdag import SpDag
-from .sssp import INF, DistLabels, tree_path
+from .sssp import INF, DistLabels, path_length, tree_path
 from .zigzag import RealizationExhausted, disjoint_st_pair, strict_join
 
 
@@ -69,22 +69,12 @@ def detour_candidates(
     return [best] if best[0] < INF else []
 
 
-def _path_length(g: Graph, path: list[int]) -> int:
-    total = 0
-    for a, b in zip(path, path[1:]):
-        ei = g.edge_index(a, b)
-        if ei is None:
-            return -1
-        total += g.ew[ei]
-    return total
-
-
 def _accept(g: Graph, labels: DistLabels, path: list[int], goal: int) -> bool:
     if len(set(path)) != len(path):
         return False
     if path[0] != labels.source or path[-1] != labels.target:
         return False
-    return _path_length(g, path) == goal
+    return path_length(g, path) == goal
 
 
 def _tight_descent(

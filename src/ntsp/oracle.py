@@ -10,7 +10,7 @@ import heapq
 
 from .graph import Graph, build_graph
 from .spdag import SpDag
-from .sssp import DistLabels
+from .sssp import DistLabels, path_length
 from .zerostruct import ClusterDag
 from .zigzag import BackwardCandidate, CoreContext
 
@@ -55,15 +55,6 @@ def enumerate_simple_st_paths(
             on_path[v] = 0
             cur.pop()
     return paths, truncated
-
-
-def path_length(g: Graph, path: list[int]) -> int:
-    total = 0
-    for a, b in zip(path, path[1:]):
-        idx = g.edge_index(a, b)
-        assert idx is not None, f"no edge {a}-{b}"
-        total += g.ew[idx]
-    return total
 
 
 def oracle_next_to_shortest(g: Graph, s: int, t: int, cap: int = DEFAULT_PATH_CAP) -> int | None:

@@ -55,9 +55,11 @@ def distance_stage(g: Graph, s: int, t: int) -> tuple[DistLabels, list[int], lis
 
 
 def structure_stage(g: Graph, labels: DistLabels):
-    """Core subgraph, its two dominator trees, and the zero clusters."""
+    """Core subgraph, its two dominator trees, and the zero clusters.  The
+    trees are built here only for a core with zero edges, else both are
+    None and CoreContext.core_trees builds them if a later stage asks."""
     spdag = build_core(g, labels)
-    ts, tt = core_dominator_trees(spdag)
+    ts, tt = core_dominator_trees(spdag) if spdag.zero_edges else (None, None)
     partition = zero_clusters(spdag, ts, tt)
     return spdag, ts, tt, partition
 

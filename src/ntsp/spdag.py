@@ -4,7 +4,8 @@ A vertex is distance-tight when its two endpoint distances add up to the s-t
 distance.  Tight vertices can still be off every simple shortest path when
 they hang off a cut vertex through zero-weight edges; trimming removes such
 side lobes, after which membership means "lies on some simple shortest s-t
-path".  Orienting the surviving positive edges away from s gives a DAG in
+path".  Without a tight zero edge there are no such lobes, and the trim is
+skipped.  Orienting the surviving positive edges away from s gives a DAG in
 which every directed path from u to v has length from_s[v] - from_s[u].
 """
 from __future__ import annotations
@@ -169,6 +170,10 @@ def orient_core(g: Graph, labels: DistLabels, core_v: list[bool], core_e: list[b
 
 
 def build_core(g: Graph, labels: DistLabels) -> SpDag:
+    """The oriented core.  Without a tight zero edge the trim would keep
+    everything: shortest s-v and v-t paths then climb strictly in from_s,
+    so they join into a simple s-t path through v (or a tight edge)."""
     tight_v, tight_e = distance_tight_subgraph(g, labels)
-    core_v, core_e = trim_off_path_components(g, labels, tight_v, tight_e)
-    return orient_core(g, labels, core_v, core_e)
+    if 0 in compress(g.ew, tight_e):
+        tight_v, tight_e = trim_off_path_components(g, labels, tight_v, tight_e)
+    return orient_core(g, labels, tight_v, tight_e)

@@ -105,6 +105,17 @@ def distance_labels(g: Graph, s: int, t: int) -> DistLabels:
     return DistLabels(source=s, target=t, from_s=from_s, to_t=to_t, shortest=from_s[t])
 
 
+def path_length(g: Graph, path: list[int]) -> int | None:
+    """Total weight of the walk along path, or None if a step has no edge."""
+    total = 0
+    for a, b in zip(path, path[1:]):
+        ei = g.edge_index(a, b)
+        if ei is None:
+            return None
+        total += g.ew[ei]
+    return total
+
+
 def tree_path(parent: list[int], root: int, v: int) -> list[int]:
     """Vertices from root to v along the parent array."""
     out = [v]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 
 from .dominators import DomTree, dag_dominators
 from .spdag import SpDag
@@ -33,14 +33,14 @@ class ZeroPartition:
     comp[v] is -1 off the core; cluster ids are dense, in order of smallest
     member.  severed holds the oriented zero edges that realized a dominator
     relation, at vertex level; surviving_adj is the intra-cluster zero
-    adjacency left over.
+    adjacency left over, a sorted row for each vertex that has one.
     """
 
     comp: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
     comp_level: tuple[int, ...]
     severed: tuple[tuple[int, int], ...]
-    surviving_adj: tuple[tuple[int, ...], ...]
+    surviving_adj: dict[int, list[int]]
 
     @property
     def count(self) -> int:
@@ -50,10 +50,10 @@ class ZeroPartition:
         return self.members[c][0]
 
 
-def zero_clusters(spdag: SpDag, ts: DomTree, tt: DomTree) -> ZeroPartition:
-    """Sever dominator zero edges, orient them, and group the remainder."""
-    n = spdag.n
-    surviving: list[list[int]] = [[] for _ in range(n)]
+def zero_clusters(spdag: SpDag, ts: DomTree | None, tt: DomTree | None) -> ZeroPartition:
+    """Sever dominator zero edges, orient them, and group the remainder.
+    The trees are read only at zero edges: without one, both may be None."""
+    surviving: dict[int, list[int]] = {}
     severed: list[tuple[int, int]] = []
     for u, v in spdag.zero_edges:
         orientations = set()
@@ -66,33 +66,33 @@ def zero_clusters(spdag: SpDag, ts: DomTree, tt: DomTree) -> ZeroPartition:
         if tt.idom[v] == u:
             orientations.add((v, u))
         if not orientations:
-            surviving[u].append(v)
-            surviving[v].append(u)
+            # the edges come sorted with u < v, so every row fills sorted
+            surviving.setdefault(u, []).append(v)
+            surviving.setdefault(v, []).append(u)
             continue
         assert len(orientations) == 1, f"conflicting orientation for zero edge {(u, v)}"
         severed.append(orientations.pop())
 
-    comp = [-1] * n
+    level = spdag.level
+    comp = [-1] * spdag.n
     members: list[tuple[int, ...]] = []
     comp_level: list[int] = []
-    for v in range(n):
-        if not spdag.in_core[v] or comp[v] != -1:
+    for v in compress(range(spdag.n), spdag.in_core):
+        if comp[v] != -1:
             continue
         cid = len(members)
         comp[v] = cid
         group = [v]
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in surviving[x]:
-                if comp[y] == -1:
-                    comp[y] = cid
-                    group.append(y)
-                    stack.append(y)
-        group.sort()
+        if v in surviving:
+            for x in group:
+                for y in surviving[x]:
+                    if comp[y] == -1:
+                        comp[y] = cid
+                        group.append(y)
+            group.sort()
+            assert all(level[x] == level[v] for x in group)
         members.append(tuple(group))
-        comp_level.append(spdag.level[v])
-        assert all(spdag.level[x] == comp_level[cid] for x in group)
+        comp_level.append(level[v])
 
     # s and t never absorb neighbors: a zero edge at either endpoint is
     # itself a complete path from that endpoint, forcing the dominator
@@ -106,7 +106,7 @@ def zero_clusters(spdag: SpDag, ts: DomTree, tt: DomTree) -> ZeroPartition:
         members=tuple(members),
         comp_level=tuple(comp_level),
         severed=tuple(sorted(severed)),
-        surviving_adj=tuple(tuple(sorted(a)) for a in surviving),
+        surviving_adj=surviving,
     )
 
 

@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from itertools import permutations
 
-from .dominators import DomTree
+from .dominators import DomTree, core_dominator_trees
 from .spdag import SpDag
 from .sssp import DistLabels, bfs_path
 from .zerostruct import (
@@ -41,16 +41,25 @@ class RealizationExhausted(RuntimeError):
     an internal bug."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CoreContext:
-    """Everything the backward-pair machinery needs about one query."""
+    """Everything the backward-pair machinery needs about one query.
+
+    ts and tt, the core dominator trees, may be None until core_trees()
+    first builds them; nothing else is written after construction.
+    """
 
     labels: DistLabels
     spdag: SpDag
-    ts: DomTree
-    tt: DomTree
+    ts: DomTree | None
+    tt: DomTree | None
     partition: ZeroPartition
     dag: ClusterDag
+
+    def core_trees(self) -> tuple[DomTree, DomTree]:
+        if self.ts is None:
+            self.ts, self.tt = core_dominator_trees(self.spdag)
+        return self.ts, self.tt
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +512,7 @@ def pinned_candidate_pairs(ctx: CoreContext, hi: float = math.inf) -> list[Backw
         if dag.idom_t.idom[cy] == cx:
             rep_x = partition.representative(cx)
             rep_y = partition.representative(cy)
-            if backward_feasible(rep_x, rep_y, partition, dag, ctx.ts, ctx.tt):
+            if backward_feasible(rep_x, rep_y, partition, dag, *ctx.core_trees()):
                 out.append(BackwardCandidate("pinned_both", cx, cy, delta))
         else:
             out.append(BackwardCandidate("pinned_s", cx, cy, delta))
@@ -602,7 +611,8 @@ def _three_links_worker(
     (main t->wa) for the caller to reorient.
     """
     spdag, partition = ctx.spdag, ctx.partition
-    tree = ctx.tt if to_target else ctx.ts
+    ts, tt = ctx.core_trees()
+    tree = tt if to_target else ts
     root = spdag.target if to_target else spdag.source
     p = tree.idom[wa]
     trunk = climb_path(spdag, p, root, descending=not to_target)[::-1]  # root .. p
@@ -784,9 +794,10 @@ def _realize_pinned_s(
 def flipped_context(ctx: CoreContext) -> CoreContext:
     """The same core seen from t: arcs reversed, the dominator roles swapped.
 
-    The two adjacency rows and the two dominator trees trade places.  The
-    cluster dag is rebuilt on the reversed arcs rather than mirrored, so
-    its arc witnesses are the smallest reversed core edges.
+    The two adjacency rows and the two dominator trees trade places; trees
+    not built yet stay unbuilt, since the flipped core's trees are the same
+    pair swapped.  The cluster dag is rebuilt on the reversed arcs rather
+    than mirrored, so its arc witnesses are the smallest reversed core edges.
     """
     sp, lb = ctx.spdag, ctx.labels
     flabels = replace(lb, source=lb.target, target=lb.source, from_s=lb.to_t, to_t=lb.from_s)

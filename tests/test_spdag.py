@@ -6,6 +6,7 @@ import random
 import sys
 from pathlib import Path
 
+import ntsp.spdag
 from graphcases import corpus, named_graph
 from ntsp.graph import random_graph
 from ntsp.oracle import enumerate_simple_st_paths, oracle_trim_off_path_components, path_length
@@ -165,3 +166,36 @@ def test_arc_invariants_and_rigidity():
                 total += w
                 v = nb
             assert total == spdag.level[v] - spdag.level[start]
+
+
+def test_trim_runs_only_for_tight_zero_edges(monkeypatch):
+    # without a tight zero edge every tight vertex and edge lies on a simple
+    # shortest path, so build_core skips the trim and must still equal it
+    trims = []
+
+    def counted(*args):
+        trims.append(1)
+        return trim_off_path_components(*args)
+
+    monkeypatch.setattr(ntsp.spdag, "trim_off_path_components", counted)
+    cases = corpus(5000, zero_probs=(0.0,))
+    rng = random.Random(20261019)
+    for _ in range(3000):
+        n = rng.randint(2, 80)
+        m = rng.randint(n - 1, min(3 * n, n * (n - 1) // 2))
+        zp = rng.choice([0.0, 0.05, 0.2, 0.5])
+        s, t = rng.sample(range(n), 2)
+        g = random_graph(n, m, rng.choice([1, 2, 5]), zp, seed=rng.randrange(1 << 32))
+        cases.append((g, s, t))
+    sides = [0, 0]
+    for g, s, t in cases:
+        labels = distance_labels(g, s, t)
+        tight_v, tight_e = distance_tight_subgraph(g, labels)
+        zero = any(w == 0 for w, e in zip(g.ew, tight_e) if e)
+        sides[zero] += 1
+        trims.clear()
+        spdag = build_core(g, labels)
+        assert len(trims) == zero
+        core_v, core_e = trim_off_path_components(g, labels, tight_v, tight_e)
+        assert (spdag.in_core, spdag.core_edge) == (tuple(core_v), tuple(core_e)), (g, s, t)
+    assert sides[0] >= 6000 and sides[1] >= 1500  # 6,132 and 1,868 here

@@ -101,6 +101,14 @@ def test_partition_matches_oracle():
         want = oracle_zero_clusters(spdag, ts.idom, tt.idom)
         got = sorted((set(ms) for ms in partition.members), key=min)
         assert got == want
+        # a sorted row for each vertex left with an unsevered zero edge
+        cut = {frozenset(e) for e in partition.severed}
+        rows: dict[int, list[int]] = {}
+        for u, v in spdag.zero_edges:
+            if frozenset((u, v)) not in cut:
+                rows.setdefault(u, []).append(v)
+                rows.setdefault(v, []).append(u)
+        assert partition.surviving_adj == {v: sorted(row) for v, row in rows.items()}
 
 
 def test_cluster_members_share_level_and_dominators():
@@ -175,7 +183,7 @@ def test_cyclic_contraction_raises():
     spdag = dataclasses.replace(spdag, arcs=((0, 1, 1), (1, 0, 1)), source=0, target=1)
     partition = ZeroPartition(
         comp=(0, 1, -1), members=((0,), (1,)), comp_level=(0, 1),
-        severed=(), surviving_adj=((), (), ()),
+        severed=(), surviving_adj={},
     )
     with pytest.raises(ClusterCycleError):
         build_cluster_dag(spdag, partition)

@@ -5,9 +5,16 @@ import math
 import random
 from collections import Counter
 
-from graphcases import NAMED, named_graph, zgrid
+import ntsp.zigzag
+from graphcases import EXPECTED, NAMED, corpus, named_graph, zgrid
 from ntsp.graph import build_graph, random_graph
-from ntsp.oracle import oracle_backward_pairs, oracle_next_to_shortest, oracle_open_pair
+from ntsp.oracle import (
+    oracle_backward_pairs,
+    oracle_next_to_shortest,
+    oracle_open_pair,
+    path_length,
+)
+import ntsp.solver
 from ntsp.solver import build_core_context, next_to_shortest
 from ntsp.sssp import distance_labels
 from ntsp.zerostruct import backward_feasible
@@ -172,7 +179,7 @@ def test_beta_necessity_on_oracle_pairs():
         for x, y in oracle_backward_pairs(g, ctx.spdag):
             # a canonical descent loses height on its first step
             assert ctx.spdag.level[x] > ctx.spdag.level[y]
-            assert backward_feasible(x, y, ctx.partition, ctx.dag, ctx.ts, ctx.tt)
+            assert backward_feasible(x, y, ctx.partition, ctx.dag, *ctx.core_trees())
 
 
 def assert_open_pair_matches_scan(g, s, t, label):
@@ -376,3 +383,41 @@ def test_one_construction_per_kind():
     # 106 open, 326 pinned_s and 310 pinned_t pairs realized
     assert realized["open"] >= 100, realized
     assert min(realized["pinned_s"], realized["pinned_t"]) >= 300, realized
+
+
+def test_core_trees_built_on_demand(monkeypatch):
+    # the core dominator trees are built at most once per query, and not at
+    # all when nothing reads them: a core without zero edges and no pinned
+    # pair to test
+    builds = []
+    build = ntsp.zigzag.core_dominator_trees
+
+    def counted(spdag):
+        builds.append(spdag.source)
+        return build(spdag)
+
+    for mod in (ntsp.solver, ntsp.zigzag):
+        monkeypatch.setattr(mod, "core_dominator_trees", counted)
+
+    g = zgrid(8, 0.0)  # the unit 8x8 grid
+    res = next_to_shortest(g, 0, 63)
+    assert (res.status, res.kind, res.length) == ("found", "zigzag", 16)
+    assert res.path[0] == 0 and res.path[-1] == 63 and len(set(res.path)) == len(res.path)
+    assert path_length(g, list(res.path)) == 16
+    assert builds == []
+
+    g, s, t = named_graph("quad0")
+    res = next_to_shortest(g, s, t)
+    assert (res.status, res.kind, res.length) == EXPECTED["quad0"]
+    assert builds == [s]
+
+    zero_cores = 0
+    for g, s, t in [named_graph(name) for name in sorted(NAMED)] + corpus(1000):
+        builds.clear()
+        ctx = build_core_context(g, distance_labels(g, s, t))
+        zigzag_shortest(ctx)
+        assert len(builds) <= 1
+        if ctx.spdag.zero_edges:
+            zero_cores += 1
+            assert len(builds) == 1
+    assert zero_cores >= 500  # 562 here
