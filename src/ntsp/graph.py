@@ -253,7 +253,9 @@ def parse_graph(text: bytes | str) -> Graph:
         raise MalformedLineError(
             f"line {last_line + 1}: expected {m} edges, got {len(edges)}", last_line + 1
         )
-    if not _connected(n, edges):
+    # fewer than n - 1 edges cannot connect n vertices: refuse before the
+    # n-sized connectivity check, which a large header alone would pay for
+    if m < n - 1 or not _connected(n, edges):
         raise DisconnectedGraphError("graph is not connected", None)
     return build_graph(n, edges)
 

@@ -9,26 +9,22 @@ so nothing here visits all cluster pairs.  One walk takes them cheapest
 first and ends at the open pair, which always realizes.  A pinned candidate
 must pass a small unit-capacity flow test, which only prunes.  Any candidate
 counts once its realized path passes verify_zigzag; that verified witness
-is the confirmation.
+is the confirmation.  Every realization is built from unit-capacity flows
+and walks over the query's one CoreContext; a t-pinned pair is the
+s-pinned construction run from t in that same context.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import permutations
 
 from .dominators import DomTree, core_dominator_trees
 from .spdag import SpDag
 from .sssp import DistLabels, bfs_path
-from .zerostruct import (
-    ClusterDag,
-    ZeroPartition,
-    backward_feasible,
-    band_walk,
-    build_cluster_dag,
-    zero_path_within,
-)
+from .zerostruct import ClusterDag, ZeroPartition, backward_feasible, band_walk, zero_path_within
+from .zerostruct import build_cluster_dag  # noqa: F401  perfbench wraps ntsp.zigzag's name
 
 BIG = 10**9
 SOURCE, SINK = -1, -2  # labels of a flow network's virtual endpoints
@@ -46,7 +42,8 @@ class CoreContext:
     """Everything the backward-pair machinery needs about one query.
 
     ts and tt, the core dominator trees, may be None until core_trees()
-    first builds them; nothing else is written after construction.
+    first builds them; here only a mutually pinned pair's backward_feasible
+    test reads them.  Nothing else is written after construction.
     """
 
     labels: DistLabels
@@ -133,9 +130,12 @@ class FlowOutcome:
 def max_flow_at_least(net: FlowNetwork, k: int) -> FlowOutcome:
     """Decide whether k units fit, with at most k augmentation rounds.
 
-    Augments along breadth-first shortest residual paths; every round moves
-    at least one unit, so k rounds settle the question.  The decomposition of
-    whatever flow was found comes back as unit paths.
+    Augments one unit per round along a breadth-first shortest residual
+    path, so k rounds settle the question and a round that finds no path
+    ends the search.  The networks built here could not carry more along
+    one path anyway: every arc between two nodes of an endpoint_net has
+    capacity 1.  The decomposition of whatever flow was found comes back
+    as unit paths.
     """
     assert k in (2, 3)
     src = 2 * net.source
@@ -145,7 +145,6 @@ def max_flow_at_least(net: FlowNetwork, k: int) -> FlowOutcome:
     nn = 2 * len(net.labels)
     while total < k:
         rounds += 1
-        assert rounds <= k, "augmentation rounds exceeded the contract"
         via = [-1] * nn
         via[src] = -2
         queue = [src]
@@ -160,19 +159,13 @@ def max_flow_at_least(net: FlowNetwork, k: int) -> FlowOutcome:
                     queue.append(y)
         if via[dst] == -1:
             break
-        bottleneck = BIG
         x = dst
         while x != src:
             aid = via[x]
-            bottleneck = min(bottleneck, net.arc_cap[aid] - net.arc_flow[aid])
+            net.arc_flow[aid] += 1
+            net.arc_flow[aid ^ 1] -= 1
             x = net.arc_to[aid ^ 1]
-        x = dst
-        while x != src:
-            aid = via[x]
-            net.arc_flow[aid] += bottleneck
-            net.arc_flow[aid ^ 1] -= bottleneck
-            x = net.arc_to[aid ^ 1]
-        total += bottleneck
+        total += 1
 
     return FlowOutcome(
         ok=total >= k, achieved=total, rounds=rounds, unit_paths=_decompose_units(net, total)
@@ -226,13 +219,14 @@ def endpoint_net(
 ) -> FlowNetwork:
     """Unit-capacity network over nodes along succ, between virtual endpoints.
 
-    sources/sinks are (node, capacity) pairs hung off the endpoints; such a
-    node's own capacity rises to match.
+    Every node and every node-to-node arc has capacity 1, so two units never
+    share an arc.  sources/sinks are (node, capacity) pairs hung off the
+    endpoints; such a node's own capacity rises to match.
     """
     caps = {SOURCE: BIG, SINK: BIG}
     for v in nodes:
         caps[v] = 1
-    arcs = [(v, b, BIG) for v in nodes for b in succ(v) if b in caps]
+    arcs = [(v, b, 1) for v in nodes for b in succ(v) if b in caps]
     for v, cap in sources:
         caps[v] = max(caps[v], cap)
         arcs.append((SOURCE, v, cap))
@@ -274,9 +268,12 @@ def climb_path(
 
 
 def cluster_route(
-    dag: ClusterDag, start: int, goal: int, banned: set[int] = frozenset()
+    dag: ClusterDag, start: int, goal: int, banned: set[int] = frozenset(), forward: bool = True
 ) -> list[int] | None:
-    return bfs_path(start, goal, lambda c: (b for b, _, _, _ in dag.succ[c] if b not in banned))
+    """Fewest-arc cluster walk start to goal along the arcs, or against them
+    when forward is False, smallest ids first, or None."""
+    arcs = dag.succ if forward else dag.pred
+    return bfs_path(start, goal, lambda c: (b for b, _, _, _ in arcs[c] if b not in banned))
 
 
 def _arc_witness(dag: ClusterDag, a: int, b: int) -> tuple[int, int]:
@@ -394,7 +391,8 @@ class CandidateNetwork:
     Every span vertex is a unit node, except that zy hangs off the source
     with capacity 2 for a pinned_both pair and 1 otherwise, and zx feeds
     the sink with capacity 2.  h_succ holds the span's steps, which the
-    arcs follow and the direct cluster-to-cluster walks reuse.
+    unit arcs follow and the direct cluster-to-cluster walks reuse; no two
+    units share an arc, so the three of a pinned_both pair differ.
     """
 
     net: FlowNetwork
@@ -406,10 +404,11 @@ class CandidateNetwork:
 def build_candidate_network(ctx: CoreContext, cand: BackwardCandidate) -> CandidateNetwork:
     """The candidate's flow network; a pinned_t one is built as seen from t.
 
-    Seen from t, a t-pinned pair is the s-pinned pair (comp_y, comp_x) over
-    the reversed arcs: the network flipped_context would give that pair.  It
-    is this network reversed, so it has the same max flow, and its flow
-    units are the ones _realize_pinned_s expands in the flipped context.
+    Seen from t, a t-pinned pair is an s-pinned pair with the clusters'
+    roles swapped: its network runs against the arcs from the x cluster
+    (zy here) to the y cluster (zx here).  That is the s-side network
+    reversed, so it has the same max flow, and its units come out oriented
+    the way _realize_pinned expands a t-pinned pair.
     """
     spdag, partition, dag = ctx.spdag, ctx.partition, ctx.dag
     cy, cx = cand.comp_y, cand.comp_x
@@ -553,12 +552,8 @@ def best_backward_pair(ctx: CoreContext) -> tuple[BackwardCandidate, list[int]] 
     A pinned candidate is realized only once its flow test passes, and one
     whose construction fails or whose path verify_zigzag rejects gives way
     to the next.  The open pair ends the walk: it is realized by one
-    construction, and a failure there raises RealizationExhausted.  A
-    t-pinned pair is expanded as an s-pinned one in the flipped context,
-    built once a first such pair passes its flow test; its network is
-    already the flipped one, so that flow is solved once.
+    construction, and a failure there raises RealizationExhausted.
     """
-    flipped: CoreContext | None = None
     for cand in _candidate_walk(ctx):
         if cand.kind == "open":
             path = _realize_open(ctx, cand)
@@ -569,17 +564,8 @@ def best_backward_pair(ctx: CoreContext) -> tuple[BackwardCandidate, list[int]] 
                 continue
             if cand.kind == "pinned_both":
                 path = _realize_pinned_both(ctx, cn, res)
-            elif cand.kind == "pinned_s":
-                path = _realize_pinned_s(ctx, cand, cn, res)
             else:
-                if flipped is None:
-                    flipped = flipped_context(ctx)
-                mirror = BackwardCandidate(
-                    "pinned_s", comp_x=cand.comp_y, comp_y=cand.comp_x, delta=cand.delta
-                )
-                path = _realize_pinned_s(flipped, mirror, cn, res)
-                if path is not None:
-                    path = path[::-1]
+                path = _realize_pinned(ctx, cand, cn, res)
         if path is not None and verify_zigzag(ctx.spdag, path, cand.delta):
             return cand, path
         if cand.kind == "open":
@@ -603,48 +589,27 @@ def _three_links_worker(
 ) -> tuple[str, list[int], list[int]] | None:
     """Connect three same-cluster vertices to one side of the core.
 
-    Ascending side (to_target False): builds a main path s->wa and an all-zero
-    cross path wc->wb, vertex-disjoint apart from unavoidable overlaps that the
-    caller re-checks.  Returns ("A", main, cross), or ("B", main, cross) when
-    the construction lands on s->wb with cross wc->wa instead.  Descending side
-    mirrors everything toward t; paths come back in the descending direction
-    (main t->wa) for the caller to reorient.
+    One 2-unit vertex flow from {s, wc} into {wa, wb} along the arcs.  The
+    unit from s is the main path; the one from wc is the cross path, and it
+    stays on the cluster's level, since no arc climbs back down to it; with
+    wc equal to wa or wb it is that one vertex.  Returns ("A", main, cross)
+    when the main path ends at wa, ("B", main, cross) when it ends at wb,
+    or None when the flow fails.  The caller re-checks overlaps with its
+    other pieces.  The descending side (to_target) flows from t against the
+    arcs; paths come back in that direction (main t->wa) for the caller to
+    reorient.
     """
-    spdag, partition = ctx.spdag, ctx.partition
-    ts, tt = ctx.core_trees()
-    tree = tt if to_target else ts
+    spdag = ctx.spdag
     root = spdag.target if to_target else spdag.source
-    p = tree.idom[wa]
-    trunk = climb_path(spdag, p, root, descending=not to_target)[::-1]  # root .. p
     net = vertex_flow_net(
-        spdag, [(p, 2)], [(wa, 1), (wb, 1)], descending=to_target
+        spdag, [(root, 1), (wc, 1)], [(wa, 1), (wb, 1)], descending=to_target
     )
     res = max_flow_at_least(net, 2)
     if not res.ok:
         return None
-    unit_a = next(u for u in res.unit_paths if u[-1] == wa)
-    unit_b = next(u for u in res.unit_paths if u[-1] == wb)
-    # both units leave p; the caller's strict_join rejects any repeat
-    main_a = trunk + unit_a[1:]
-    main_b = trunk + unit_b[1:]
-    if wc == wb:
-        return "A", main_a, [wb]
-    seen_a = set(unit_a)
-    seen_b = set(unit_b)
-    if wc in seen_a:
-        return "B", main_b, unit_a[unit_a.index(wc):]
-    if wc in seen_b:
-        return "A", main_a, unit_b[unit_b.index(wc):]
-    # z starts at wb, the end of unit_b, so it meets a unit; q and that
-    # unit's end share the cluster's level, and a monotone unit between
-    # them stays on it, so the cross is level
-    z = zero_path_within(partition, wb, wc)
-    hit = max(i for i, v in enumerate(z) if v in seen_a or v in seen_b)
-    q = z[hit]
-    if q in seen_a:
-        # wb's zero walk last meets the wa unit: swap roles
-        return "B", main_b, z[hit:][::-1] + unit_a[unit_a.index(q) + 1:]
-    return "A", main_a, z[hit:][::-1] + unit_b[unit_b.index(q) + 1:]
+    main = next(u for u in res.unit_paths if u[0] == root)
+    cross = next(u for u in res.unit_paths if u[0] == wc)
+    return ("A" if main[-1] == wa else "B"), main, cross
 
 
 def _realize_open(ctx: CoreContext, cand: BackwardCandidate) -> list[int]:
@@ -691,17 +656,13 @@ def _realize_pinned_both(
 ) -> list[int] | None:
     """Expand a doubly pinned pair: the first slot assignment of three unit
     paths that joins into a simple path, or None."""
-    units = [_trim_unit(cn, u) for u in res.unit_paths]
-    pool: list[list[int]] = []
-    for u in units:
-        if u not in pool:
-            pool.append(u)
-    # Two units can share one direct y->x arc, since the ends have capacity
-    # 2, and the slot rules (y1 != y2, y1 != y3, x2 != x3) forbid two paths
-    # with the same ends in one trio.  Direct walks refill the pool, capped
-    # at 8 to bound the trio permutations.  On 50,000 seeded small queries,
-    # 162 of 175 calls got two distinct units, 146 of 158 wins used a
-    # refill walk and one call hit the cap.
+    # three distinct units: each uses an arc, and every arc carries one
+    pool = [_trim_unit(cn, u) for u in res.unit_paths]
+    # The slot rules (y1 != y2, y1 != y3, x2 != x3) can still reject every
+    # trio of those three, so direct walks refill the pool, capped at 8 to
+    # bound the trio permutations.  Over 328,108 seeded small queries, 229
+    # of 661 wins used a refill walk and 14 calls reached the cap; without
+    # the refill one win was lost (that query's answer is a detour).
     interiors = {v for v in cn.h_succ if v not in cn.zy and v not in cn.zx}
     for y in sorted(cn.zy):
         for x in sorted(cn.zx):
@@ -727,7 +688,6 @@ def _assemble_pinned_both(ctx: CoreContext, trio) -> list[int] | None:
     stitched with the three-way link construction; its B shape on the y side
     is the same arrangement under another slot order, so it is skipped here.
     """
-    spdag = ctx.spdag
     p1, p2, p3 = trio
     y1, x1 = p1[0], p1[-1]
     y2, x2 = p2[0], p2[-1]
@@ -738,87 +698,57 @@ def _assemble_pinned_both(ctx: CoreContext, trio) -> list[int] | None:
     if ylinks is None or ylinks[0] != "A":
         return None
     _, q1, q2 = ylinks
-    if x1 == x2:
-        r = climb_path(spdag, x3, spdag.target, banned={x1})
-        if r is None:
-            return None
-        path = strict_join(q1, p1, p2[::-1], q2[::-1], p3, r)
-    else:
-        xlinks = _three_links_worker(ctx, x2, x3, x1, to_target=True)
-        if xlinks is None:
-            return None
-        shape, main_w, cross_w = xlinks
-        if shape == "A":
-            path = strict_join(q1, p1, cross_w, p3[::-1], q2, p2, main_w[::-1])
-        else:
-            path = strict_join(q1, p1, cross_w, p2[::-1], q2[::-1], p3, main_w[::-1])
-    return path
+    xlinks = _three_links_worker(ctx, x2, x3, x1, to_target=True)
+    if xlinks is None:
+        return None
+    shape, main_w, cross_w = xlinks
+    if shape == "A":
+        return strict_join(q1, p1, cross_w, p3[::-1], q2, p2, main_w[::-1])
+    return strict_join(q1, p1, cross_w, p2[::-1], q2[::-1], p3, main_w[::-1])
 
 
-def _realize_pinned_s(
+def _realize_pinned(
     ctx: CoreContext, cand: BackwardCandidate, cn: CandidateNetwork, res: FlowOutcome
 ) -> list[int] | None:
-    """Expand an s-pinned pair: descend once into the y cluster, leave once.
+    """Expand an s- or t-pinned pair: descend once into the y cluster, leave once.
 
-    The first flow unit names the entry into the y cluster and the exit from
-    the x cluster.  The route from the entry to t avoids the x cluster, and
-    so the exit; both follow from the non-domination side condition.  A
-    revisit vertex v, the last of the route's level-Ly prefix, splits it; a
-    2-unit vertex flow from {s, v} into the exit supplies the two ascents,
-    and the route tail finishes the walk.  None when that flow fails or the
-    pieces repeat a vertex.
+    Described for an s-pinned pair.  The first flow unit names the entry
+    into the y cluster and the exit from the x cluster.  The route from the
+    entry to t avoids the x cluster, and so the exit; both follow from the
+    non-domination side condition.  A revisit vertex v, the last of the
+    route's level-Ly prefix, splits it; a 2-unit vertex flow from {s, v}
+    into the exit supplies the two ascents, and the route tail finishes the
+    walk.  A t-pinned pair is the same construction seen from t: the two
+    clusters trade roles, the route runs against the arcs to s, the flow
+    descends from t, and the walk comes back reversed.  None when that flow
+    fails or the pieces repeat a vertex.
     """
     spdag, partition, dag = ctx.spdag, ctx.partition, ctx.dag
-    cx, cy = cand.comp_x, cand.comp_y
+    forward = cand.kind == "pinned_s"
+    cx, cy = (cand.comp_x, cand.comp_y) if forward else (cand.comp_y, cand.comp_x)
+    start, end = (spdag.source, spdag.target) if forward else (spdag.target, spdag.source)
     level_y = dag.comp_level[cy]
     unit = _trim_unit(cn, res.unit_paths[0])
-    route = cluster_route(dag, cy, dag.target_comp, banned={cx})
+    goal = dag.target_comp if forward else dag.source_comp
+    route = cluster_route(dag, cy, goal, banned={cx}, forward=forward)
     expanded = expand_comp_walk(
-        partition, dag, route, [True] * (len(route) - 1), unit[0], spdag.target
+        partition, dag, route, [forward] * (len(route) - 1), unit[0], end
     )
     at = 0
     while at + 1 < len(expanded) and spdag.level[expanded[at + 1]] == level_y:
         at += 1
     v, tail = expanded[at], expanded[at:]
     net = vertex_flow_net(
-        spdag, [(spdag.source, 1), (v, 1)], [(unit[-1], 2)], banned=set(tail) - {v}
+        spdag, [(start, 1), (v, 1)], [(unit[-1], 2)],
+        banned=set(tail) - {v}, descending=not forward,
     )
     r2 = max_flow_at_least(net, 2)
     if not r2.ok:
         return None
-    s1 = next(u for u in r2.unit_paths if u[0] == spdag.source)
+    s1 = next(u for u in r2.unit_paths if u[0] == start)
     s2 = next(u for u in r2.unit_paths if u[0] == v)
-    return strict_join(s1, s2[::-1], tail)
-
-
-def flipped_context(ctx: CoreContext) -> CoreContext:
-    """The same core seen from t: arcs reversed, the dominator roles swapped.
-
-    The two adjacency rows and the two dominator trees trade places; trees
-    not built yet stay unbuilt, since the flipped core's trees are the same
-    pair swapped.  The cluster dag is rebuilt on the reversed arcs rather
-    than mirrored, so its arc witnesses are the smallest reversed core edges.
-    """
-    sp, lb = ctx.spdag, ctx.labels
-    flabels = replace(lb, source=lb.target, target=lb.source, from_s=lb.to_t, to_t=lb.from_s)
-    fsp = replace(
-        sp,
-        source=sp.target,
-        target=sp.source,
-        arcs=tuple(sorted((v, u, w) for u, v, w in sp.arcs)),
-        succ_all=sp.pred_all,
-        pred_all=sp.succ_all,
-        level=tuple(lb.to_t),
-    )
-    fpart = replace(
-        ctx.partition,
-        comp_level=tuple(flabels.from_s[m[0]] for m in ctx.partition.members),
-        severed=tuple(sorted((v, u) for u, v in ctx.partition.severed)),
-    )
-    return CoreContext(
-        labels=flabels, spdag=fsp, ts=ctx.tt, tt=ctx.ts,
-        partition=fpart, dag=build_cluster_dag(fsp, fpart),
-    )
+    path = strict_join(s1, s2[::-1], tail)
+    return path if forward or path is None else path[::-1]
 
 
 def zigzag_shortest(ctx: CoreContext) -> tuple[int, list[int]] | None:

@@ -223,13 +223,20 @@ def test_criterion_5_flow_discipline(criterion_corpus, flow_log):
             audited += 1
             if outcome.rounds > 3 or outcome.rounds > k:
                 problems.append(f"#{i}: {outcome.rounds} rounds for k={k}")
+            # one unit per round, and a failed round ends the search
+            if outcome.rounds != outcome.achieved + (not outcome.ok) or outcome.achieved > k:
+                problems.append(
+                    f"#{i}: {outcome.rounds} rounds moved {outcome.achieved} units for k={k}"
+                )
             if outcome.ok != (scipy_max_flow(net) >= k):
                 problems.append(f"#{i}: verdict disagrees with generic max flow")
         if len(problems) >= 5:
             break
     elapsed = time.perf_counter() - t0
     ok = not problems and audited > 0
-    record_criterion(5, ok, f"{audited} flow solves, <= 3 rounds each, {elapsed:.1f} s")
+    record_criterion(
+        5, ok, f"{audited} flow solves, <= 3 rounds of one unit each, {elapsed:.1f} s"
+    )
     assert ok, problems
 
 

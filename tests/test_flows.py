@@ -68,7 +68,10 @@ def test_tII_candidate_network_carries_three():
     assert cn.zy == frozenset({1, 2}) and cn.zx == frozenset({3, 4})
     assert {(a, b) for a in cn.h_succ for b in cn.h_succ[a]} == {(1, 3), (1, 4), (2, 4)}
     res = max_flow_at_least(cn.net, 3)
-    assert res.ok and res.rounds <= 3
+    # unit arcs: exactly three units in three rounds, no two alike
+    assert res.ok and res.rounds == res.achieved == 3
+    assert len(res.unit_paths) == 3
+    assert len({tuple(u) for u in res.unit_paths}) == 3
     y_uses: dict[int, int] = {}
     x_uses: dict[int, int] = {}
     for unit in res.unit_paths:

@@ -83,6 +83,19 @@ def test_parse_rejects_disconnected():
         parse_graph("4 2\n0 1 1\n2 3 1\n")
 
 
+def test_parse_rejects_edgeless_header_without_allocating_by_n():
+    # m < n - 1 cannot be connected; the refusal must not cost O(n) memory
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedGraphError, match="graph is not connected"):
+            parse_graph(b"1000000 0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_parse_rejects_oversized_weight():
     with pytest.raises(MalformedLineError):
         parse_graph(f"2 1\n0 1 {1 << 32}\n")

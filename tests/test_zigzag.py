@@ -23,16 +23,15 @@ from ntsp.zigzag import (
     KIND_RANK,
     SINK,
     SOURCE,
-    BackwardCandidate,
+    CoreContext,
     _realize_open,
+    _realize_pinned,
     _realize_pinned_both,
-    _realize_pinned_s,
     _walk_key,
     best_backward_pair,
     best_open_pair,
     build_candidate_network,
     candidate_flow_quota,
-    flipped_context,
     max_flow_at_least,
     pinned_candidate_pairs,
     verify_zigzag,
@@ -234,11 +233,49 @@ def test_open_pair_matches_scan_on_weighted_grids():
 
 
 def test_pinned_t_flow_solved_once(flow_log):
-    # the t-pinned candidate's flow test runs on the flipped network only
+    # the t-pinned candidate's flow test runs once, on its network seen from t
     g = random_graph(7, 9, 3, 0.3, 909663)
     res = next_to_shortest(g, 0, 6)
     assert len(flow_log) == 3
     assert (res.status, res.kind, res.length, res.path) == ("found", "zigzag", 7, (0, 5, 2, 3, 6))
+
+
+def test_pinned_t_builds_one_cluster_dag(monkeypatch):
+    # a t-pinned pair is realized in the query's own context: no second,
+    # reversed cluster DAG
+    builds = []
+    build = ntsp.zigzag.build_cluster_dag
+
+    def counted(spdag, partition):
+        builds.append(spdag.source)
+        return build(spdag, partition)
+
+    for mod in (ntsp.solver, ntsp.zigzag):
+        monkeypatch.setattr(mod, "build_cluster_dag", counted)
+    g = random_graph(7, 9, 3, 0.3, 909663)
+    ctx = build_core_context(g, distance_labels(g, 0, 6))
+    assert best_backward_pair(ctx)[0].kind == "pinned_t"
+    builds.clear()
+    res = next_to_shortest(g, 0, 6)
+    assert builds == [0]
+    assert res.path == (0, 5, 2, 3, 6)
+
+
+def test_pinned_both_links_read_no_core_tree(monkeypatch):
+    # the link flows start at s and t themselves; once the candidate is
+    # listed, which tests its feasibility on the trees, nothing reads them
+    ctx = context_for("tII")
+    [cand] = pinned_candidate_pairs(ctx)
+    assert cand.kind == "pinned_both"
+
+    def refuse(self):
+        raise AssertionError("core trees read after the candidate was listed")
+
+    monkeypatch.setattr(CoreContext, "core_trees", refuse)
+    cn = build_candidate_network(ctx, cand)
+    res = max_flow_at_least(cn.net, candidate_flow_quota(cand))
+    path = _realize_pinned_both(ctx, cn, res)
+    assert path is not None and verify_zigzag(ctx.spdag, path, cand.delta)
 
 
 def scanned_h_succ(ctx, cand, cn):
@@ -291,7 +328,6 @@ def eager_backward_pair(ctx):
     open_best = best_open_pair(ctx)
     if open_best is not None:
         cands = sorted(cands + [open_best], key=_walk_key)
-    flipped = None
     for cand in cands:
         if cand.kind == "open":
             path = _realize_open(ctx, cand)
@@ -302,13 +338,8 @@ def eager_backward_pair(ctx):
                 continue
             if cand.kind == "pinned_both":
                 path = _realize_pinned_both(ctx, cn, res)
-            elif cand.kind == "pinned_s":
-                path = _realize_pinned_s(ctx, cand, cn, res)
             else:
-                flipped = flipped or flipped_context(ctx)
-                mirror = BackwardCandidate("pinned_s", cand.comp_y, cand.comp_x, cand.delta)
-                path = _realize_pinned_s(flipped, mirror, cn, res)
-                path = path and path[::-1]
+                path = _realize_pinned(ctx, cand, cn, res)
         if path is not None and verify_zigzag(ctx.spdag, path, cand.delta):
             return cand, path
     return None
@@ -363,7 +394,6 @@ def test_one_construction_per_kind():
             realized["open"] += 1
         found = best_backward_pair(ctx)
         hi = math.inf if found is None else found[0].delta + 1
-        flipped = None
         for cand in pinned_candidate_pairs(ctx, hi):
             if cand.kind == "pinned_both":
                 continue
@@ -371,13 +401,7 @@ def test_one_construction_per_kind():
             res = max_flow_at_least(cn.net, candidate_flow_quota(cand))
             if not res.ok:
                 continue
-            if cand.kind == "pinned_s":
-                path = _realize_pinned_s(ctx, cand, cn, res)
-            else:
-                flipped = flipped or flipped_context(ctx)
-                mirror = BackwardCandidate("pinned_s", cand.comp_y, cand.comp_x, cand.delta)
-                path = _realize_pinned_s(flipped, mirror, cn, res)
-                path = path and path[::-1]
+            path = _realize_pinned(ctx, cand, cn, res)
             assert path is not None and verify_zigzag(ctx.spdag, path, cand.delta), (label, cand)
             realized[cand.kind] += 1
     # 106 open, 326 pinned_s and 310 pinned_t pairs realized
