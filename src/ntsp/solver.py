@@ -1,21 +1,28 @@
 """Top-level query: the minimum-length simple s-t path longer than shortest.
 
-The answer is the better of two scans.  The zigzag scan covers paths that
-stay inside the core and pay with one backward stretch; the detour scan
-covers paths that leave the tree-or-core edge set.  Every other simple s-t
+The answer is the better of two scans.  The detour scan covers paths that
+leave the tree-or-core edge set; the zigzag scan covers paths that stay
+inside the core and pay with one backward stretch.  Every other simple s-t
 path is at least as long as one of those two minima.
+
+The detour goes first, since it is one pass over the edges.  A zigzag is
+always shortest + 2*delta long with an integer delta >= 1, and a tie goes
+to the detour, so the zigzag layer (zero clusters, cluster DAG, candidate
+walk) is built only when the detour is missing or longer than shortest + 2,
+and then walks only the candidates strictly shorter than the detour.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .detour import anchor_array, shortest_detour
-from .dominators import core_dominator_trees
+from .dominators import DomTree, core_dominator_trees
 from .graph import DisconnectedGraphError, Graph, GraphError
-from .spdag import build_core
+from .spdag import SpDag, build_core
 from .sssp import INF, DistLabels, dijkstra, shortest_path_tree
 from .sssp import distance_labels  # noqa: F401  perfbench wraps ntsp.solver.distance_labels
-from .zerostruct import build_cluster_dag, zero_clusters
+from .zerostruct import ZeroPartition, build_cluster_dag, zero_clusters
 from .zigzag import CoreContext, zigzag_shortest
 
 
@@ -54,34 +61,44 @@ def distance_stage(g: Graph, s: int, t: int) -> tuple[DistLabels, list[int], lis
     return labels, parent, parent_edge
 
 
-def structure_stage(g: Graph, labels: DistLabels):
-    """Core subgraph, its two dominator trees, and the zero clusters.  The
-    trees are built here only for a core with zero edges, else both are
-    None and CoreContext.core_trees builds them if a later stage asks."""
-    spdag = build_core(g, labels)
+def cluster_stage(spdag: SpDag) -> tuple[DomTree | None, DomTree | None, ZeroPartition]:
+    """The core's two dominator trees and the zero clusters.  The trees are
+    built here only for a core with zero edges, else both are None and
+    CoreContext.core_trees builds them if a later stage asks."""
     ts, tt = core_dominator_trees(spdag) if spdag.zero_edges else (None, None)
-    partition = zero_clusters(spdag, ts, tt)
-    return spdag, ts, tt, partition
+    return ts, tt, zero_clusters(spdag, ts, tt)
+
+
+def structure_stage(g: Graph, labels: DistLabels):
+    """Core subgraph, its two dominator trees, and the zero clusters."""
+    spdag = build_core(g, labels)
+    return (spdag, *cluster_stage(spdag))
+
+
+def core_context(labels: DistLabels, spdag: SpDag) -> CoreContext:
+    """The zigzag layer's view of one query, over its already built core."""
+    ts, tt, partition = cluster_stage(spdag)
+    dag = build_cluster_dag(spdag, partition)
+    return CoreContext(labels=labels, spdag=spdag, ts=ts, tt=tt, partition=partition, dag=dag)
 
 
 def build_core_context(g: Graph, labels: DistLabels) -> CoreContext:
-    spdag, ts, tt, partition = structure_stage(g, labels)
-    dag = build_cluster_dag(spdag, partition)
-    return CoreContext(labels=labels, spdag=spdag, ts=ts, tt=tt, partition=partition, dag=dag)
+    return core_context(labels, build_core(g, labels))
 
 
 def next_to_shortest(g: Graph, s: int, t: int) -> NtspResult:
     validate_query(g, s, t)
     labels, parent, parent_edge = distance_stage(g, s, t)
-    ctx = build_core_context(g, labels)
-    zig = zigzag_shortest(ctx)
-    anchor = anchor_array(g, ctx.spdag, parent, parent_edge)
-    det = shortest_detour(g, labels, ctx.spdag, parent, anchor)
-    pick: tuple[int, list[int], str] | None = None
-    if det is not None:
-        pick = (det[0], det[1], "detour")
-    if zig is not None and (pick is None or zig[0] < pick[0]):
-        pick = (zig[0], zig[1], "zigzag")
+    spdag = build_core(g, labels)
+    det = shortest_detour(g, labels, spdag, parent, anchor_array(g, spdag, parent, parent_edge))
+    del parent, parent_edge  # only the detour reads the s-side tree
+    pick = None if det is None else (*det, "detour")
+    below = math.inf if det is None else det[0]
+    # every zigzag is at least shortest + 2 long and a tie goes to the detour
+    if below - labels.shortest > 2:
+        zig = zigzag_shortest(core_context(labels, spdag), below)
+        if zig is not None:
+            pick = (*zig, "zigzag")
     if pick is None:
         return NtspResult(status="none", shortest=labels.shortest)
     return NtspResult(

@@ -6,8 +6,9 @@ descend back to the y cluster along core edges, then climb to t.  Candidates
 split by how the cluster dominator trees pin them to each other; the
 cheapest unpinned (open) one comes from a short walk back from each cluster,
 so nothing here visits all cluster pairs.  One walk takes them cheapest
-first and ends at the open pair, which always realizes.  A pinned candidate
-must pass a small unit-capacity flow test, which only prunes.  Any candidate
+first, only below the length bound the solver passes (the detour's), and
+ends at the open pair, which always realizes.  A pinned candidate must pass
+a small unit-capacity flow test, which only prunes.  Any candidate
 counts once its realized path passes verify_zigzag; that verified witness
 is the confirmation.  Every realization is built from unit-capacity flows
 and walks over the query's one CoreContext; a t-pinned pair is the
@@ -459,8 +460,9 @@ def open_region(dag: ClusterDag, cx: int, max_delta: float) -> Iterable[int]:
     return band_walk(dag, cx, top - max_delta, top, False, avoid=dag.idom_s.idom[cx])
 
 
-def best_open_pair(ctx: CoreContext) -> BackwardCandidate | None:
-    """The open pair with the smallest (delta, comp_x, comp_y), or None.
+def best_open_pair(ctx: CoreContext, hi: float = math.inf) -> BackwardCandidate | None:
+    """The open pair with the smallest (delta, comp_x, comp_y) and delta < hi,
+    or None.
 
     (cx, cy) is open when cy sits strictly between idom_s(cx) and cx, below
     cx, and cx strictly before idom_t(cy).  Given cy < cx, that last test
@@ -474,7 +476,7 @@ def best_open_pair(ctx: CoreContext) -> BackwardCandidate | None:
     for cx in range(dag.count):
         if dag.idom_s.idom[cx] == -1:
             continue
-        bound = math.inf if best is None else best[0] - 1
+        bound = hi - 1 if best is None else best[0] - 1
         if bound < 1:
             break
         for cy in open_region(dag, cx, bound):
@@ -492,14 +494,23 @@ def best_open_pair(ctx: CoreContext) -> BackwardCandidate | None:
 
 def pinned_candidate_pairs(ctx: CoreContext, hi: float = math.inf) -> list[BackwardCandidate]:
     """Cluster pairs pinned through a dominator relation, with 0 < delta < hi,
-    cheapest first.
+    that their flow test could pass, cheapest first.
 
     When cy = idom_s(cx), cx t-dominates cy only as idom_t(cy): a nearer
     t-dominator of cy would lie on every cy-cx path and so s-dominate cx
     after cy.  The mirror argument covers cx = idom_t(cy), so a pair that
     is not mutually pinned is s- or t-pinned outright.
+
+    A candidate network (build_candidate_network) hangs its source-side
+    cluster off the source at capacity 1 per member, 2 for a pinned_both
+    pair, and its sink-side cluster off the sink at 2 per member, so the
+    flow is at most either side's capacity.  The source side is cy, or cx
+    for a pinned_t pair, which is built from t.  A singleton there caps a
+    2-unit test at 1, and a singleton on either side caps a pinned_both
+    pair's 3-unit test at 2, so those pairs are dropped unlisted.
     """
     dag, partition = ctx.dag, ctx.partition
+    members = partition.members
     out: list[BackwardCandidate] = []
     for cx in range(dag.count):
         cy = dag.idom_s.idom[cx]
@@ -509,11 +520,13 @@ def pinned_candidate_pairs(ctx: CoreContext, hi: float = math.inf) -> list[Backw
         if not 0 < delta < hi:
             continue
         if dag.idom_t.idom[cy] == cx:
+            if len(members[cx]) == 1 or len(members[cy]) == 1:
+                continue
             rep_x = partition.representative(cx)
             rep_y = partition.representative(cy)
             if backward_feasible(rep_x, rep_y, partition, dag, *ctx.core_trees()):
                 out.append(BackwardCandidate("pinned_both", cx, cy, delta))
-        else:
+        elif len(members[cy]) > 1:
             out.append(BackwardCandidate("pinned_s", cx, cy, delta))
     for cy in range(dag.count):
         cx = dag.idom_t.idom[cy]
@@ -522,7 +535,8 @@ def pinned_candidate_pairs(ctx: CoreContext, hi: float = math.inf) -> list[Backw
         delta = dag.comp_level[cx] - dag.comp_level[cy]
         if not 0 < delta < hi:
             continue
-        if dag.idom_s.idom[cx] != cy:  # mutual pins were collected above
+        # mutual pins were collected above
+        if dag.idom_s.idom[cx] != cy and len(members[cx]) > 1:
             out.append(BackwardCandidate("pinned_t", cx, cy, delta))
     out.sort(key=_walk_key)
     return out
@@ -532,29 +546,36 @@ def _walk_key(cand: BackwardCandidate) -> tuple[int, int, int, int]:
     return cand.delta, KIND_RANK[cand.kind], cand.comp_x, cand.comp_y
 
 
-def _candidate_walk(ctx: CoreContext) -> Iterator[BackwardCandidate]:
-    """The pinned pairs below the best open pair's delta in _walk_key order,
-    then that open pair.
+def _candidate_walk(ctx: CoreContext, hi: float) -> Iterator[BackwardCandidate]:
+    """The pinned pairs below hi and below the best open pair's delta in
+    _walk_key order, then that open pair, if its delta is below hi.
 
     The open pair always realizes, so the walk ends there and the pinned
     pairs at or above its delta are never built.
     """
-    open_best = best_open_pair(ctx)
-    yield from pinned_candidate_pairs(ctx, math.inf if open_best is None else open_best.delta)
+    open_best = best_open_pair(ctx, hi)
+    yield from pinned_candidate_pairs(ctx, hi if open_best is None else open_best.delta)
     if open_best is not None:
         yield open_best
 
 
-def best_backward_pair(ctx: CoreContext) -> tuple[BackwardCandidate, list[int]] | None:
-    """Cheapest candidate with a verified witness path, and that path.
+def best_backward_pair(
+    ctx: CoreContext, below: float = math.inf
+) -> tuple[BackwardCandidate, list[int]] | None:
+    """Cheapest candidate shorter than below with a verified witness path,
+    and that path.
 
-    Candidates come in (delta, kind, comp_x, comp_y) order (_candidate_walk).
-    A pinned candidate is realized only once its flow test passes, and one
-    whose construction fails or whose path verify_zigzag rejects gives way
-    to the next.  The open pair ends the walk: it is realized by one
-    construction, and a failure there raises RealizationExhausted.
+    The solver passes the detour's length as below, so only candidates with
+    shortest + 2*delta < below are walked: a tie goes to the detour.  They
+    come in (delta, kind, comp_x, comp_y) order (_candidate_walk).  A pinned
+    candidate is realized only once its flow test passes, and one whose
+    construction fails or whose path verify_zigzag rejects gives way to the
+    next.  The open pair ends the walk: it is realized by one construction,
+    and a failure there raises RealizationExhausted.
     """
-    for cand in _candidate_walk(ctx):
+    # 2*delta < below - shortest, as an exclusive integer bound on delta
+    hi = below if below == math.inf else (below - ctx.labels.shortest + 1) // 2
+    for cand in _candidate_walk(ctx, hi):
         if cand.kind == "open":
             path = _realize_open(ctx, cand)
         else:
@@ -751,9 +772,10 @@ def _realize_pinned(
     return path if forward or path is None else path[::-1]
 
 
-def zigzag_shortest(ctx: CoreContext) -> tuple[int, list[int]] | None:
-    """Best rise-fall-rise walk: its length and a witness path, or None."""
-    found = best_backward_pair(ctx)
+def zigzag_shortest(ctx: CoreContext, below: float = math.inf) -> tuple[int, list[int]] | None:
+    """Best rise-fall-rise walk strictly shorter than below (the detour's
+    length, when there is one): its length and a witness path, or None."""
+    found = best_backward_pair(ctx, below)
     if found is None:
         return None
     cand, path = found

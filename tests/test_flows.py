@@ -7,6 +7,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
+import ntsp.zigzag
 from graphcases import named_graph
 from ntsp.graph import random_graph
 from ntsp.oracle import max_flow_value
@@ -15,10 +16,13 @@ from ntsp.sssp import distance_labels
 from ntsp.zigzag import (
     FlowNetwork,
     build_candidate_network,
+    candidate_flow_quota,
     disjoint_st_pair,
     max_flow_at_least,
     pinned_candidate_pairs,
+    zigzag_shortest,
 )
+from test_zigzag import every_pinned_pair
 
 
 def scipy_max_flow(net: FlowNetwork) -> int:
@@ -96,6 +100,14 @@ def test_rounds_and_generic_agreement(flow_log):
             continue
         flow_log.clear()
         next_to_shortest(g, s, t)
+        # the solver builds no zigzag layer when the detour is within
+        # shortest + 2, so also walk the zigzag unbounded and test every
+        # pinned pair's network, those the capacity gate drops included
+        ctx = build_core_context(g, distance_labels(g, s, t))
+        zigzag_shortest(ctx)
+        for cand in every_pinned_pair(ctx):
+            cn = build_candidate_network(ctx, cand)
+            ntsp.zigzag.max_flow_at_least(cn.net, candidate_flow_quota(cand))
         for net, k, outcome in flow_log:
             assert outcome.rounds <= k
             assert outcome.ok == (scipy_max_flow(net) >= k)

@@ -5,14 +5,25 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import ntsp.solver
 from graphcases import EXPECTED, NAMED, named_graph
+from ntsp.detour import anchor_array, shortest_detour
 from ntsp.graph import DisconnectedGraphError, GraphError, build_graph, random_graph
 from ntsp.oracle import oracle_next_to_shortest, path_length
-from ntsp.solver import QueryError, next_to_shortest, validate_query
+from ntsp.solver import (
+    QueryError,
+    build_core_context,
+    distance_stage,
+    next_to_shortest,
+    validate_query,
+)
+from ntsp.zigzag import zigzag_shortest
+from test_zigzag import weighted_grids
 
 
 def check_witness(g, s, t, res):
@@ -95,6 +106,47 @@ def test_tie_prefers_detour():
     res = next_to_shortest(g, 0, 4)
     assert res.shortest == 1
     assert (res.status, res.kind, res.length) == ("found", "detour", 3)
+
+
+def both_scans_in_full(g, s, t):
+    """The detour and the unbounded zigzag scan, each run on every query,
+    ties to the detour: (kind, length, path) or None, and the detour."""
+    labels, parent, parent_edge = distance_stage(g, s, t)
+    ctx = build_core_context(g, labels)
+    zig = zigzag_shortest(ctx)
+    anchor = anchor_array(g, ctx.spdag, parent, parent_edge)
+    det = shortest_detour(g, labels, ctx.spdag, parent, anchor)
+    if zig is not None and (det is None or zig[0] < det[0]):
+        return ("zigzag", zig[0], tuple(zig[1])), det
+    return (None if det is None else ("detour", det[0], tuple(det[1]))), det
+
+
+def test_zigzag_layer_only_below_the_detour(criterion_corpus, monkeypatch):
+    # a zigzag is shortest + 2*delta long with delta >= 1 and loses a tie,
+    # so the cluster DAG is built exactly when the detour is missing or
+    # longer than shortest + 2, and the answer is that of both full scans
+    builds = []
+    build = ntsp.solver.build_cluster_dag
+
+    def counted(spdag, partition):
+        builds.append(spdag.source)
+        return build(spdag, partition)
+
+    monkeypatch.setattr(ntsp.solver, "build_cluster_dag", counted)
+    cases = [named_graph(name) for name in sorted(NAMED)] + list(criterion_corpus)
+    cases += [case[:3] for scale in (1, 1 << 30) for case in weighted_grids(scale)]
+    built = Counter()
+    for g, s, t in cases:
+        want, det = both_scans_in_full(g, s, t)
+        builds.clear()
+        res = next_to_shortest(g, s, t)
+        got = None if res.status == "none" else (res.kind, res.length, res.path)
+        assert got == want, (g.edges, s, t)
+        below = det is None or res.shortest + 2 < det[0]
+        assert builds == ([s] if below else []), (g.edges, s, t)
+        built[below] += 1
+    # of the 5,450 queries 1,988 build the zigzag layer and 3,462 skip it
+    assert built[True] >= 1500 and built[False] >= 3000, built
 
 
 def test_none_when_every_path_is_shortest():

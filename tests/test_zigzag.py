@@ -23,6 +23,7 @@ from ntsp.zigzag import (
     KIND_RANK,
     SINK,
     SOURCE,
+    BackwardCandidate,
     CoreContext,
     _realize_open,
     _realize_pinned,
@@ -42,6 +43,43 @@ from ntsp.zigzag import (
 def context_for(name):
     g, s, t = named_graph(name)
     return build_core_context(g, distance_labels(g, s, t))
+
+
+def every_pinned_pair(ctx):
+    """pinned_candidate_pairs without its capacity gate: every pinned pair
+    with delta > 0, a mutual one only when backward_feasible admits it, in
+    walk order."""
+    dag, partition = ctx.dag, ctx.partition
+    out = []
+    for cx in range(dag.count):
+        cy = dag.idom_s.idom[cx]
+        delta = dag.comp_level[cx] - dag.comp_level[cy]
+        if cy == -1 or delta <= 0:
+            continue
+        if dag.idom_t.idom[cy] != cx:
+            out.append(BackwardCandidate("pinned_s", cx, cy, delta))
+        elif backward_feasible(
+            partition.representative(cx), partition.representative(cy),
+            partition, dag, *ctx.core_trees(),
+        ):
+            out.append(BackwardCandidate("pinned_both", cx, cy, delta))
+    for cy in range(dag.count):
+        cx = dag.idom_t.idom[cy]
+        delta = dag.comp_level[cx] - dag.comp_level[cy]
+        if cx != -1 and delta > 0 and dag.idom_s.idom[cx] != cy:
+            out.append(BackwardCandidate("pinned_t", cx, cy, delta))
+    return sorted(out, key=_walk_key)
+
+
+def capacity_capped(ctx, cand):
+    """Whether a singleton cluster caps cand's flow test below its quota:
+    the source side (cy, or cx for a pinned_t pair) for a 2-unit test,
+    either side for a pinned_both pair's 3-unit test."""
+    members = ctx.partition.members
+    if cand.kind == "pinned_both":
+        return min(len(members[cand.comp_x]), len(members[cand.comp_y])) == 1
+    source_side = cand.comp_y if cand.kind == "pinned_s" else cand.comp_x
+    return len(members[source_side]) == 1
 
 
 def test_pent_open_pair():
@@ -233,10 +271,12 @@ def test_open_pair_matches_scan_on_weighted_grids():
 
 
 def test_pinned_t_flow_solved_once(flow_log):
-    # the t-pinned candidate's flow test runs once, on its network seen from t
+    # the t-pinned candidate's flow test runs once, on its network seen from
+    # t, and the realization's second flow follows; the s-pinned pair ahead
+    # of it has the singleton {0} as its y cluster, so the gate drops it
     g = random_graph(7, 9, 3, 0.3, 909663)
     res = next_to_shortest(g, 0, 6)
-    assert len(flow_log) == 3
+    assert len(flow_log) == 2
     assert (res.status, res.kind, res.length, res.path) == ("found", "zigzag", 7, (0, 5, 2, 3, 6))
 
 
@@ -305,10 +345,19 @@ def test_candidate_steps_match_zero_edge_scan(criterion_corpus):
         s, t = rng.sample(range(n), 2)
         cases.append((random_graph(n, m, 5, zp, seed), s, t, (n, m, zp, seed, s, t)))
     kinds = Counter()
+    dropped = Counter()
     for g, s, t, label in cases:
         ctx = build_core_context(g, distance_labels(g, s, t))
-        for cand in pinned_candidate_pairs(ctx):
+        pairs = every_pinned_pair(ctx)
+        # the capacity gate drops exactly the capped pairs, and by the
+        # capacities asserted below none of them carries its quota
+        listed = pinned_candidate_pairs(ctx)
+        assert listed == [c for c in pairs if not capacity_capped(ctx, c)], label
+        for cand in pairs:
             cn = build_candidate_network(ctx, cand)
+            if cand not in listed:
+                assert not max_flow_at_least(cn.net, candidate_flow_quota(cand)).ok, (label, cand)
+                dropped[cand.kind] += 1
             assert cn.h_succ == scanned_h_succ(ctx, cand, cn), (label, cand)
             # one node per span vertex, none contracted away, capacity by role
             assert set(cn.net.labels) == set(cn.h_succ) | {SOURCE, SINK}, (label, cand)
@@ -317,8 +366,10 @@ def test_candidate_steps_match_zero_edge_scan(criterion_corpus):
                 role = BIG if v < 0 else y_cap if v in cn.zy else 2 if v in cn.zx else 1
                 assert cap == role, (label, cand, v)
             kinds[cand.kind] += 1
-    # 1,302 pinned_t, 1,310 pinned_s and 80 pinned_both candidates
+    # 1,302 pinned_t, 1,310 pinned_s and 80 pinned_both candidates, of which
+    # the gate drops 1,252, 1,257 and all 80
     assert min(kinds[k] for k in ("pinned_both", "pinned_s", "pinned_t")) >= 50, kinds
+    assert min(dropped[k] for k in ("pinned_both", "pinned_s", "pinned_t")) >= 50, dropped
 
 
 def eager_backward_pair(ctx):
