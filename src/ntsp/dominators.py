@@ -1,11 +1,11 @@
 """Immediate dominators of a rooted digraph, iteratively, near-linear time.
 
-Both routines end in dag_dominators, which sets idom(v) to the nearest
-common ancestor, in the tree built so far, of nodes that come before v:
-v's predecessors for the acyclic cluster DAG, v's DFS parent and
-semidominator for the core (semi-NCA: they span a DAG with the same
-dominators).  Recursion is avoided throughout; the inputs can have
-a hundred thousand vertices without touching the interpreter stack limit.
+The solver's one routine is dag_dominators, for the acyclic cluster DAG:
+idom(v) is the nearest common ancestor, in the tree built so far, of v's
+predecessors.  Semi-NCA feeds it v's DFS parent and semidominator, which span
+a DAG with the same dominators; it builds the core's trees, which only the
+tests read.  Recursion is avoided throughout; the inputs can have a hundred
+thousand vertices without touching the interpreter stack limit.
 """
 from __future__ import annotations
 

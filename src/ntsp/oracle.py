@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import heapq
 
+from .dominators import DomTree
 from .graph import Graph, build_graph
 from .spdag import SpDag
 from .sssp import DistLabels, path_length
-from .zerostruct import ClusterDag
+from .zerostruct import ClusterDag, ZeroPartition, band_walk
 from .zigzag import BackwardCandidate, CoreContext
 
 DEFAULT_PATH_CAP = 200_000
@@ -229,25 +230,8 @@ def oracle_detour_candidates(
 
 def oracle_immediate_dominator(n: int, succ: list[list[int]], root: int, v: int) -> int:
     """Immediate dominator of v by vertex-removal reachability tests."""
-
-    def reaches(banned: int) -> bool:
-        if banned == root:
-            return False
-        seen = bytearray(n)
-        seen[root] = 1
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            if x == v:
-                return True
-            for y in succ[x]:
-                if y != banned and not seen[y]:
-                    seen[y] = 1
-                    stack.append(y)
-        return False
-
     assert v != root
-    separators = [w for w in range(n) if w != v and not reaches(w)]
+    separators = [w for w in range(n) if w != v and not _reaches_excluding(n, succ, root, v, w)]
     assert root in separators
     # the immediate one is cut off from the root by every other separator
     for u in separators:
@@ -480,6 +464,35 @@ def cluster_topo_order(dag: ClusterDag) -> list[int]:
     return order
 
 
+def precedes(dag: ClusterDag, a: int, b: int) -> bool:
+    """Strictly before: a reaches b along the cluster arcs and differs from
+    it.  No such path leaves the levels [L(a), L(b)], which band_walk keeps."""
+    if a == b:
+        return False
+    return b in band_walk(dag, a, dag.comp_level[a], dag.comp_level[b], True)
+
+
+def backward_feasible(
+    x: int, y: int, partition: ZeroPartition, dag: ClusterDag, ts: DomTree, tt: DomTree
+) -> bool:
+    """Necessary condition for (x, y) to close a backward detour in the core.
+
+    The cluster of y must sit strictly between x's immediate start-side
+    dominator (in ts, a core tree) and x's cluster, and x's cluster strictly
+    before y's immediate target-side dominator (in tt)."""
+    gate_in = ts.idom[x]
+    gate_out = tt.idom[y]
+    if gate_in == -1 or gate_out == -1:
+        return False
+    comp = partition.comp
+    cx, cy = comp[x], comp[y]
+    return (
+        precedes(dag, comp[gate_in], cy)
+        and precedes(dag, cy, cx)
+        and precedes(dag, cx, comp[gate_out])
+    )
+
+
 def oracle_open_pair(ctx: CoreContext) -> BackwardCandidate | None:
     """Smallest (delta, comp_x, comp_y) open pair by scanning all cluster pairs.
 
@@ -495,7 +508,7 @@ def oracle_open_pair(ctx: CoreContext) -> BackwardCandidate | None:
             bits |= reach[b]
         reach[c] = bits
 
-    def precedes(a: int, b: int) -> bool:
+    def before(a: int, b: int) -> bool:
         return a != b and (reach[a] >> b) & 1 == 1
 
     best: tuple[int, int, int] | None = None
@@ -512,7 +525,7 @@ def oracle_open_pair(ctx: CoreContext) -> BackwardCandidate | None:
                 continue
             if dag.idom_s.dominates(cy, cx) or dag.idom_t.dominates(cx, cy):
                 continue
-            if not (precedes(gate_in, cy) and precedes(cy, cx) and precedes(cx, gate_out)):
+            if not (before(gate_in, cy) and before(cy, cx) and before(cx, gate_out)):
                 continue
             key = (delta, cx, cy)
             if best is None or key < best:

@@ -9,7 +9,9 @@ The detour goes first, since it is one pass over the edges.  A zigzag is
 always shortest + 2*delta long with an integer delta >= 1, and a tie goes
 to the detour, so the zigzag layer (zero clusters, cluster DAG, candidate
 walk) is built only when the detour is missing or longer than shortest + 2,
-and then walks only the candidates strictly shorter than the detour.
+and then walks only the candidates strictly shorter than the detour.  No
+stage builds a dominator tree of the core: the zero clusters come from block
+DFSs over the zero edges, and dominators are taken on the cluster DAG only.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .detour import anchor_array, shortest_detour
-from .dominators import DomTree, core_dominator_trees
+from .dominators import core_dominator_trees  # noqa: F401  perfbench wraps ntsp.solver's name
 from .graph import DisconnectedGraphError, Graph, GraphError
 from .spdag import SpDag, build_core
 from .sssp import INF, DistLabels, dijkstra, shortest_path_tree
@@ -61,25 +63,17 @@ def distance_stage(g: Graph, s: int, t: int) -> tuple[DistLabels, list[int], lis
     return labels, parent, parent_edge
 
 
-def cluster_stage(spdag: SpDag) -> tuple[DomTree | None, DomTree | None, ZeroPartition]:
-    """The core's two dominator trees and the zero clusters.  The trees are
-    built here only for a core with zero edges, else both are None and
-    CoreContext.core_trees builds them if a later stage asks."""
-    ts, tt = core_dominator_trees(spdag) if spdag.zero_edges else (None, None)
-    return ts, tt, zero_clusters(spdag, ts, tt)
-
-
-def structure_stage(g: Graph, labels: DistLabels):
-    """Core subgraph, its two dominator trees, and the zero clusters."""
+def structure_stage(g: Graph, labels: DistLabels) -> tuple[SpDag, ZeroPartition]:
+    """Core subgraph and its zero clusters."""
     spdag = build_core(g, labels)
-    return (spdag, *cluster_stage(spdag))
+    return spdag, zero_clusters(spdag)
 
 
 def core_context(labels: DistLabels, spdag: SpDag) -> CoreContext:
     """The zigzag layer's view of one query, over its already built core."""
-    ts, tt, partition = cluster_stage(spdag)
+    partition = zero_clusters(spdag)
     dag = build_cluster_dag(spdag, partition)
-    return CoreContext(labels=labels, spdag=spdag, ts=ts, tt=tt, partition=partition, dag=dag)
+    return CoreContext(labels=labels, spdag=spdag, partition=partition, dag=dag)
 
 
 def build_core_context(g: Graph, labels: DistLabels) -> CoreContext:

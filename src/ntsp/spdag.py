@@ -10,6 +10,7 @@ which every directed path from u to v has length from_s[v] - from_s[u].
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import compress
 
@@ -68,60 +69,78 @@ def distance_tight_subgraph(g: Graph, labels: DistLabels) -> tuple[list[bool], l
     return tight_v, tight_e
 
 
-def trim_off_path_components(
-    g: Graph, labels: DistLabels, tight_v: list[bool], tight_e: list[bool]
-) -> tuple[list[bool], list[bool]]:
-    """Restrict tight flags to the blocks lying between s and t.
+def biconnected_blocks(
+    nbrs: Mapping[int, list[int]], root: int, size: int
+) -> Iterator[tuple[int, list[int]]]:
+    """The blocks reached from root, by an iterative biconnected-components
+    DFS (Hopcroft and Tarjan) over nbrs: ids below size, no edge twice.
 
-    A biconnected-components DFS from s over the tight subgraph keeps
-    exactly the blocks on the block-cut-tree path from s to t: those whose
-    top child (the tree child through which the block closes) is t or a
-    tree ancestor of t.  Everything else hangs off a cut vertex away from
-    both endpoints and cannot appear on a simple shortest s-t path.
-    Running the trim twice changes nothing.
+    A block is listed as (top, members) once the DFS climbs back to top, its
+    vertex nearest root, so it comes after every block below it.  Every
+    reached vertex but root is a member of one block: the one holding its
+    tree edge up.
     """
-    s, t = labels.source, labels.target
-    eu, ev = g.eu, g.ev
-    nbrs: dict[int, list[tuple[int, int]]] = {v: [] for v in compress(range(g.n), tight_v)}
-    for idx, u, v in compress(zip(range(g.m), eu, ev), tight_e):
-        nbrs[u].append((v, idx))
-        nbrs[v].append((u, idx))
-
-    # The tight subgraph is connected, so one root covers it.  A stack entry
-    # is (v, tree parent, height of the edge stack below v's tree edge,
-    # v's neighbour iterator).
-    disc = [-1] * g.n
-    low = [0] * g.n
-    core_v = [False] * g.n
-    core_e = [False] * g.m
-    edge_stack: list[int] = []
-    disc[s] = 0
+    disc = [-1] * size
+    low = [0] * size
+    disc[root] = 0
     timer = 1
-    stack = [(s, -1, 0, iter(nbrs[s]))]
+    found: list[int] = []  # reached vertices not yet listed in a block
+    # a stack entry is (v, tree parent, len(found) before v, v's neighbour iterator)
+    stack = [(root, -1, 0, iter(nbrs[root]))]
     while stack:
         v, p, base, it = stack[-1]
-        for nb, idx in it:
+        for nb in it:
             if disc[nb] == -1:
                 disc[nb] = low[nb] = timer
                 timer += 1
-                stack.append((nb, v, len(edge_stack), iter(nbrs[nb])))
-                edge_stack.append(idx)
+                stack.append((nb, v, len(found), iter(nbrs[nb])))
+                found.append(nb)
                 break
-            if nb != p and disc[nb] < disc[v]:
-                edge_stack.append(idx)
-                low[v] = min(low[v], disc[nb])
+            if nb != p and disc[nb] < low[v]:
+                low[v] = disc[nb]
         else:
             stack.pop()
             if p == -1:
                 continue
-            low[p] = min(low[p], low[v])
+            if low[v] < low[p]:
+                low[p] = low[v]
             if low[v] >= disc[p]:
-                # p closes the block above v.  v's subtree is what was found
-                # since v, so t lies in it exactly when disc[t] >= disc[v].
-                if disc[t] >= disc[v]:
-                    for idx in edge_stack[base:]:
-                        core_e[idx] = core_v[eu[idx]] = core_v[ev[idx]] = True
-                del edge_stack[base:]
+                yield p, found[base:]
+                del found[base:]
+
+
+def trim_off_path_components(
+    g: Graph, labels: DistLabels, tight_v: list[bool], tight_e: list[bool]
+) -> tuple[list[bool], list[bool]]:
+    """Restrict tight flags to the blocks on the block-cut-tree path from s
+    to t: t's own block, the block above its top, and so on up to s.
+
+    Everything else hangs off a cut vertex away from both endpoints and
+    cannot appear on a simple shortest s-t path.  An edge lies in one block,
+    and two blocks share at most one vertex, so the kept edges are the tight
+    edges with both ends kept.  Running the trim twice changes nothing.
+    """
+    s, t = labels.source, labels.target
+    eu, ev = g.eu, g.ev
+    nbrs: dict[int, list[int]] = {v: [] for v in compress(range(g.n), tight_v)}
+    for u, v in compress(zip(eu, ev), tight_e):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+
+    # the tight subgraph is connected, so one root covers it; the blocks
+    # come bottom-up, so each kept block is listed before the one above it
+    core_v = [False] * g.n
+    want = t
+    for top, members in biconnected_blocks(nbrs, s, g.n):
+        if want in members:
+            for v in (top, *members):
+                core_v[v] = True
+            if top == s:
+                break
+            want = top
+    core_e = [False] * g.m
+    for idx in compress(range(g.m), tight_e):
+        core_e[idx] = core_v[eu[idx]] and core_v[ev[idx]]
     return core_v, core_e
 
 

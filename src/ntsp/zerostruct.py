@@ -1,6 +1,7 @@
 """Clusters of zero-weight edges and the contracted DAG above them.
 
-Zero edges that realize a dominator relation are severed and oriented; what
+Zero edges that realize a dominator relation, read off one block DFS per
+side rather than the core's dominator trees, are severed and oriented; what
 survives groups into clusters whose members are mutually reachable without
 ever crossing one of their own dominators.  Contracting each cluster to a
 single node yields a DAG whose directed reachability is the precedence order
@@ -9,7 +10,7 @@ pairs.  The Kahn count that checks the contraction for a cycle pops the
 clusters in a topological order, and both cluster dominator trees are built
 in one pass over it (dominators.dag_dominators); the order is not kept.
 band_walk is the one search over the arcs, kept to a band of levels, and
-both a precedence test and the zigzag layer's walks are made of it.
+the zigzag layer's walks are made of it.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 
 from .dominators import DomTree, dag_dominators
-from .spdag import SpDag
+from .spdag import SpDag, biconnected_blocks
 from .sssp import bfs_path
 
 
@@ -46,32 +47,34 @@ class ZeroPartition:
     def count(self) -> int:
         return len(self.members)
 
-    def representative(self, c: int) -> int:
-        return self.members[c][0]
 
+def zero_clusters(spdag: SpDag) -> ZeroPartition:
+    """Sever the zero edges that realize a dominator relation, orient them,
+    and group the remainder.
 
-def zero_clusters(spdag: SpDag, ts: DomTree | None, tt: DomTree | None) -> ZeroPartition:
-    """Sever dominator zero edges, orient them, and group the remainder.
-    The trees are read only at zero edges: without one, both may be None."""
+    Positive arcs climb a level and zero edges keep it, so a path from s
+    enters a zero component once, at an entry, and stays in it.  Seen from
+    a virtual root joined to the entries, a vertex of v's component then
+    dominates v exactly when it separates v from that root, and the nearest
+    such vertex is the top of v's block.  So idom_s(v) is top_s[v] whenever
+    it lies in v's component, and top_s[v] is the root otherwise; top_t
+    does the same from t over the reversed arcs.
+    """
+    top_s = _block_tops(spdag, spdag.source, spdag.pred_all)
+    top_t = _block_tops(spdag, spdag.target, spdag.succ_all)
     surviving: dict[int, list[int]] = {}
     severed: list[tuple[int, int]] = []
     for u, v in spdag.zero_edges:
-        orientations = set()
-        if ts.idom[v] == u:
-            orientations.add((u, v))
-        if ts.idom[u] == v:
-            orientations.add((v, u))
-        if tt.idom[u] == v:
-            orientations.add((u, v))
-        if tt.idom[v] == u:
-            orientations.add((v, u))
-        if not orientations:
+        # u -> v when u immediately dominates v from s or v does u from t
+        fwd = top_s[v] == u or top_t[u] == v
+        back = top_s[u] == v or top_t[v] == u
+        assert not (fwd and back), f"conflicting orientation for zero edge {(u, v)}"
+        if fwd or back:
+            severed.append((u, v) if fwd else (v, u))
+        else:
             # the edges come sorted with u < v, so every row fills sorted
             surviving.setdefault(u, []).append(v)
             surviving.setdefault(v, []).append(u)
-            continue
-        assert len(orientations) == 1, f"conflicting orientation for zero edge {(u, v)}"
-        severed.append(orientations.pop())
 
     level = spdag.level
     comp = [-1] * spdag.n
@@ -110,6 +113,26 @@ def zero_clusters(spdag: SpDag, ts: DomTree | None, tt: DomTree | None) -> ZeroP
     )
 
 
+def _block_tops(spdag: SpDag, end: int, rows: tuple) -> dict[int, int]:
+    """The top of each zero-edge vertex's block in the zero edges plus a
+    virtual root, id spdag.n, joined to the side's entries: end and each
+    zero-edge vertex with a positive step in rows (pred_all seen from s,
+    succ_all from t)."""
+    root = spdag.n
+    nbrs = {root: []}
+    for v in dict.fromkeys(chain.from_iterable(spdag.zero_edges)):
+        nbrs[v] = row = [nb for nb, w in rows[v] if w == 0]
+        if v == end or len(row) < len(rows[v]):
+            nbrs[root].append(v)
+            row.append(root)
+    top: dict[int, int] = {}
+    for p, members in biconnected_blocks(nbrs, root, root + 1):
+        for v in members:
+            top[v] = p
+    assert len(top) == len(nbrs) - 1, "a zero-edge vertex that no entry reaches"
+    return top
+
+
 def zero_path_within(partition: ZeroPartition, a: int, b: int) -> list[int]:
     """Deterministic simple path from a to b inside their shared cluster."""
     assert partition.comp[a] == partition.comp[b] != -1
@@ -140,16 +163,6 @@ class ClusterDag:
     source_comp: int
     target_comp: int
     comp_level: tuple[int, ...]
-
-    def precedes(self, a: int, b: int) -> bool:
-        """Strictly before: a reaches b along arcs and differs from it.
-
-        A forward band_walk from a over the levels [L(a), L(b)], stopped
-        once it meets b; no path from a to b leaves that band.
-        """
-        if a == b:
-            return False
-        return b in band_walk(self, a, self.comp_level[a], self.comp_level[b], True)
 
 
 def band_walk(
@@ -228,31 +241,4 @@ def build_cluster_dag(spdag: SpDag, partition: ZeroPartition) -> ClusterDag:
         source_comp=sc,
         target_comp=tc,
         comp_level=partition.comp_level,
-    )
-
-
-def backward_feasible(
-    x: int,
-    y: int,
-    partition: ZeroPartition,
-    dag: ClusterDag,
-    ts: DomTree,
-    tt: DomTree,
-) -> bool:
-    """Necessary condition for (x, y) to close a backward detour in the core.
-
-    The cluster of y must sit strictly between x's immediate start-side
-    dominator and x's cluster, and x's cluster strictly before y's immediate
-    target-side dominator.
-    """
-    gate_in = ts.idom[x]
-    gate_out = tt.idom[y]
-    if gate_in == -1 or gate_out == -1:
-        return False
-    comp = partition.comp
-    cx, cy = comp[x], comp[y]
-    return (
-        dag.precedes(comp[gate_in], cy)
-        and dag.precedes(cy, cx)
-        and dag.precedes(cx, comp[gate_out])
     )

@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cache, partial
 from itertools import permutations
 
-from .dominators import DomTree, core_dominator_trees
 from .spdag import SpDag
 from .sssp import DistLabels, bfs_path
-from .zerostruct import ClusterDag, ZeroPartition, backward_feasible, band_walk, zero_path_within
+from .zerostruct import ClusterDag, ZeroPartition, band_walk, zero_path_within
 from .zerostruct import build_cluster_dag  # noqa: F401  perfbench wraps ntsp.zigzag's name
 
 BIG = 10**9
@@ -40,24 +40,13 @@ class RealizationExhausted(RuntimeError):
 
 @dataclass(slots=True)
 class CoreContext:
-    """Everything the backward-pair machinery needs about one query.
-
-    ts and tt, the core dominator trees, may be None until core_trees()
-    first builds them; here only a mutually pinned pair's backward_feasible
-    test reads them.  Nothing else is written after construction.
-    """
+    """Everything the backward-pair machinery needs about one query; never
+    written to after construction."""
 
     labels: DistLabels
     spdag: SpDag
-    ts: DomTree | None
-    tt: DomTree | None
     partition: ZeroPartition
     dag: ClusterDag
-
-    def core_trees(self) -> tuple[DomTree, DomTree]:
-        if self.ts is None:
-            self.ts, self.tt = core_dominator_trees(self.spdag)
-        return self.ts, self.tt
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +498,7 @@ def pinned_candidate_pairs(ctx: CoreContext, hi: float = math.inf) -> list[Backw
     2-unit test at 1, and a singleton on either side caps a pinned_both
     pair's 3-unit test at 2, so those pairs are dropped unlisted.
     """
-    dag, partition = ctx.dag, ctx.partition
-    members = partition.members
+    dag, members = ctx.dag, ctx.partition.members
     out: list[BackwardCandidate] = []
     for cx in range(dag.count):
         cy = dag.idom_s.idom[cx]
@@ -520,11 +508,7 @@ def pinned_candidate_pairs(ctx: CoreContext, hi: float = math.inf) -> list[Backw
         if not 0 < delta < hi:
             continue
         if dag.idom_t.idom[cy] == cx:
-            if len(members[cx]) == 1 or len(members[cy]) == 1:
-                continue
-            rep_x = partition.representative(cx)
-            rep_y = partition.representative(cy)
-            if backward_feasible(rep_x, rep_y, partition, dag, *ctx.core_trees()):
+            if len(members[cx]) > 1 and len(members[cy]) > 1:
                 out.append(BackwardCandidate("pinned_both", cx, cy, delta))
         elif len(members[cy]) > 1:
             out.append(BackwardCandidate("pinned_s", cx, cy, delta))
@@ -694,15 +678,19 @@ def _realize_pinned_both(
             )
             if walk is not None and walk not in pool:
                 pool.append(walk)
+    # the trios share their ends, so one link flow serves many of them
+    links = cache(partial(_three_links_worker, ctx))
     for trio in permutations(pool, 3):
-        path = _assemble_pinned_both(ctx, trio)
+        path = _assemble_pinned_both(links, trio)
         if path is not None:
             return path
     return None
 
 
-def _assemble_pinned_both(ctx: CoreContext, trio) -> list[int] | None:
+def _assemble_pinned_both(links: Callable, trio) -> list[int] | None:
     """Try one slot assignment of three cluster-to-cluster unit paths.
+
+    links is _three_links_worker with the query's context bound.
 
     Slots follow the zigzag order: P1 carries the first ascent, P2 the final
     one, P3 is traversed backward as the descent.  Both cluster crossings are
@@ -715,11 +703,11 @@ def _assemble_pinned_both(ctx: CoreContext, trio) -> list[int] | None:
     y3, x3 = p3[0], p3[-1]
     if y1 == y2 or x2 == x3 or y3 == y1:
         return None
-    ylinks = _three_links_worker(ctx, y1, y2, y3, to_target=False)
+    ylinks = links(y1, y2, y3, False)
     if ylinks is None or ylinks[0] != "A":
         return None
     _, q1, q2 = ylinks
-    xlinks = _three_links_worker(ctx, x2, x3, x1, to_target=True)
+    xlinks = links(x2, x3, x1, True)
     if xlinks is None:
         return None
     shape, main_w, cross_w = xlinks

@@ -5,10 +5,13 @@ import math
 import random
 from collections import Counter
 
+import ntsp.dominators
 import ntsp.zigzag
-from graphcases import EXPECTED, NAMED, corpus, named_graph, zgrid
+from graphcases import NAMED, corpus, named_graph, zgrid
+from ntsp.dominators import core_dominator_trees
 from ntsp.graph import build_graph, random_graph
 from ntsp.oracle import (
+    backward_feasible,
     oracle_backward_pairs,
     oracle_next_to_shortest,
     oracle_open_pair,
@@ -17,14 +20,12 @@ from ntsp.oracle import (
 import ntsp.solver
 from ntsp.solver import build_core_context, next_to_shortest
 from ntsp.sssp import distance_labels
-from ntsp.zerostruct import backward_feasible
 from ntsp.zigzag import (
     BIG,
     KIND_RANK,
     SINK,
     SOURCE,
     BackwardCandidate,
-    CoreContext,
     _realize_open,
     _realize_pinned,
     _realize_pinned_both,
@@ -47,22 +48,16 @@ def context_for(name):
 
 def every_pinned_pair(ctx):
     """pinned_candidate_pairs without its capacity gate: every pinned pair
-    with delta > 0, a mutual one only when backward_feasible admits it, in
-    walk order."""
-    dag, partition = ctx.dag, ctx.partition
+    with delta > 0, in walk order."""
+    dag = ctx.dag
     out = []
     for cx in range(dag.count):
         cy = dag.idom_s.idom[cx]
         delta = dag.comp_level[cx] - dag.comp_level[cy]
         if cy == -1 or delta <= 0:
             continue
-        if dag.idom_t.idom[cy] != cx:
-            out.append(BackwardCandidate("pinned_s", cx, cy, delta))
-        elif backward_feasible(
-            partition.representative(cx), partition.representative(cy),
-            partition, dag, *ctx.core_trees(),
-        ):
-            out.append(BackwardCandidate("pinned_both", cx, cy, delta))
+        kind = "pinned_both" if dag.idom_t.idom[cy] == cx else "pinned_s"
+        out.append(BackwardCandidate(kind, cx, cy, delta))
     for cy in range(dag.count):
         cx = dag.idom_t.idom[cy]
         delta = dag.comp_level[cx] - dag.comp_level[cy]
@@ -213,10 +208,11 @@ def test_beta_necessity_on_oracle_pairs():
         if s == t:
             continue
         ctx = build_core_context(g, distance_labels(g, s, t))
+        trees = core_dominator_trees(ctx.spdag)
         for x, y in oracle_backward_pairs(g, ctx.spdag):
             # a canonical descent loses height on its first step
             assert ctx.spdag.level[x] > ctx.spdag.level[y]
-            assert backward_feasible(x, y, ctx.partition, ctx.dag, *ctx.core_trees())
+            assert backward_feasible(x, y, ctx.partition, ctx.dag, *trees)
 
 
 def assert_open_pair_matches_scan(g, s, t, label):
@@ -301,17 +297,20 @@ def test_pinned_t_builds_one_cluster_dag(monkeypatch):
     assert res.path == (0, 5, 2, 3, 6)
 
 
+def refuse_core_trees(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a core dominator tree was built")
+
+    monkeypatch.setattr(ntsp.dominators, "immediate_dominators", refuse)
+
+
 def test_pinned_both_links_read_no_core_tree(monkeypatch):
-    # the link flows start at s and t themselves; once the candidate is
-    # listed, which tests its feasibility on the trees, nothing reads them
+    # the link flows start at s and t themselves, and the candidate is
+    # listed without a feasibility test on the trees, so nothing builds them
+    refuse_core_trees(monkeypatch)
     ctx = context_for("tII")
     [cand] = pinned_candidate_pairs(ctx)
     assert cand.kind == "pinned_both"
-
-    def refuse(self):
-        raise AssertionError("core trees read after the candidate was listed")
-
-    monkeypatch.setattr(CoreContext, "core_trees", refuse)
     cn = build_candidate_network(ctx, cand)
     res = max_flow_at_least(cn.net, candidate_flow_quota(cand))
     path = _realize_pinned_both(ctx, cn, res)
@@ -461,38 +460,23 @@ def test_one_construction_per_kind():
 
 
 def test_core_trees_built_on_demand(monkeypatch):
-    # the core dominator trees are built at most once per query, and not at
-    # all when nothing reads them: a core without zero edges and no pinned
-    # pair to test
-    builds = []
-    build = ntsp.zigzag.core_dominator_trees
-
-    def counted(spdag):
-        builds.append(spdag.source)
-        return build(spdag)
-
-    for mod in (ntsp.solver, ntsp.zigzag):
-        monkeypatch.setattr(mod, "core_dominator_trees", counted)
-
+    # no query demands the core's semi-NCA trees any more: zero edges are
+    # severed by block tops and pinned pairs are listed by delta and capacity
+    refuse_core_trees(monkeypatch)
     g = zgrid(8, 0.0)  # the unit 8x8 grid
     res = next_to_shortest(g, 0, 63)
     assert (res.status, res.kind, res.length) == ("found", "zigzag", 16)
-    assert res.path[0] == 0 and res.path[-1] == 63 and len(set(res.path)) == len(res.path)
-    assert path_length(g, list(res.path)) == 16
-    assert builds == []
-
-    g, s, t = named_graph("quad0")
-    res = next_to_shortest(g, s, t)
-    assert (res.status, res.kind, res.length) == EXPECTED["quad0"]
-    assert builds == [s]
-
+    cases = [(g, 0, 63)] + [named_graph(name) for name in sorted(NAMED)] + corpus(1000)
+    cases += [(zgrid(k, p, seed=k), 0, k * k - 1) for k in range(4, 9) for p in (0.2, 0.4, 0.6)]
     zero_cores = 0
-    for g, s, t in [named_graph(name) for name in sorted(NAMED)] + corpus(1000):
-        builds.clear()
+    for g, s, t in cases:
+        res = next_to_shortest(g, s, t)
+        if res.status == "found":
+            path = list(res.path)
+            assert (path[0], path[-1]) == (s, t) and len(set(path)) == len(path)
+            assert path_length(g, path) == res.length
+        # the zigzag layer, which the solver skips under a short detour
         ctx = build_core_context(g, distance_labels(g, s, t))
         zigzag_shortest(ctx)
-        assert len(builds) <= 1
-        if ctx.spdag.zero_edges:
-            zero_cores += 1
-            assert len(builds) == 1
-    assert zero_cores >= 500  # 562 here
+        zero_cores += bool(ctx.spdag.zero_edges)
+    assert zero_cores >= 500, zero_cores  # 577 here
