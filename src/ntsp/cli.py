@@ -16,7 +16,7 @@ import sys
 from .graph import GraphError, parse_graph, random_graph, serialize_graph
 from .oracle import PathCapExceeded, oracle_next_to_shortest
 from .solver import NtspResult, QueryError, next_to_shortest
-from .sssp import distance_labels, path_length
+from .sssp import dijkstra, path_length
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,7 +126,7 @@ def _cmd_oracle(args) -> int:
     if s == t:
         print("ntsp: query endpoints must differ", file=sys.stderr)
         return 1
-    shortest = distance_labels(g, s, t).shortest
+    shortest = dijkstra(g, s)[t]
     length = oracle_next_to_shortest(g, s, t)
     if args.json:
         out: dict = {"status": "none" if length is None else "found", "shortest": shortest}

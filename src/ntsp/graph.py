@@ -87,6 +87,8 @@ class Graph:
     edges and adj rebuild the tuple forms, (u, v, w) per edge and a
     per-row view of (neighbour, weight, edge_index), on each access; they
     are for tests, the oracle and referees, and the solver reads the arrays.
+    max_weight is the largest edge weight (0 with no edges), recorded at
+    build time so that sssp can pick its queue without a pass over wt.
     """
 
     n: int
@@ -97,6 +99,7 @@ class Graph:
     nbr: array = field(compare=False, repr=False)
     wt: array = field(compare=False, repr=False)
     eid: array = field(compare=False, repr=False)
+    max_weight: int = field(compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -174,7 +177,15 @@ def _from_weights(n: int, weight: dict[int, int]) -> Graph:
     wt = array(WEIGHT, wt)
     eid = array(VERTEX, eid)
     return Graph(
-        n, array(VERTEX, eu), array(VERTEX, ev), array(WEIGHT, ew), array(VERTEX, off), nbr, wt, eid
+        n,
+        array(VERTEX, eu),
+        array(VERTEX, ev),
+        array(WEIGHT, ew),
+        array(VERTEX, off),
+        nbr,
+        wt,
+        eid,
+        max(ew, default=0),
     )
 
 

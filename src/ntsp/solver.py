@@ -6,12 +6,16 @@ inside the core and pay with one backward stretch.  Every other simple s-t
 path is at least as long as one of those two minima.
 
 The detour goes first, since it is one pass over the edges.  A zigzag is
-always shortest + 2*delta long with an integer delta >= 1, and a tie goes
-to the detour, so the zigzag layer (zero clusters, cluster DAG, candidate
-walk) is built only when the detour is missing or longer than shortest + 2,
-and then walks only the candidates strictly shorter than the detour.  No
-stage builds a dominator tree of the core: the zero clusters come from block
-DFSs over the zero edges, and dominators are taken on the cluster DAG only.
+always shortest + 2*delta long, where delta is the level gap between two
+distinct clusters joined by a forward core path.  That path crosses at
+least one positive core arc, so delta >= w_min, the least weight of any
+arc of the core.  A tie goes to the detour, so the zigzag layer (zero
+clusters, cluster DAG, candidate walk) is built only when the detour is
+missing or longer than shortest + 2*w_min, and then walks only the
+candidates strictly shorter than the detour.  w_min is read only when the
+detour exists.  No stage builds a dominator tree of the core: the zero
+clusters come from block DFSs over the zero edges, and dominators are taken
+on the cluster DAG only.
 """
 from __future__ import annotations
 
@@ -53,7 +57,7 @@ def validate_query(g: Graph, s: int, t: int) -> None:
 
 def distance_stage(g: Graph, s: int, t: int) -> tuple[DistLabels, list[int], list[int]]:
     """Both distance labelings plus the s-side tree (parent, parent_edge),
-    taken from the same heap pass as from_s.  A vertex that pass leaves
+    taken from the same pass as from_s.  A vertex that pass leaves
     unreached raises DisconnectedGraphError: every later stage needs it."""
     from_s, parent, parent_edge = shortest_path_tree(g, s)
     if INF in from_s:
@@ -88,8 +92,10 @@ def next_to_shortest(g: Graph, s: int, t: int) -> NtspResult:
     del parent, parent_edge  # only the detour reads the s-side tree
     pick = None if det is None else (*det, "detour")
     below = math.inf if det is None else det[0]
-    # every zigzag is at least shortest + 2 long and a tie goes to the detour
-    if below - labels.shortest > 2:
+    # a zigzag is at least shortest + 2 * w_min long, w_min the least core
+    # arc weight, and loses a tie; w_min is read only when a detour exists
+    arc_weights = (w for _, _, w in spdag.arcs)
+    if det is None or below - labels.shortest > 2 * min(arc_weights, default=math.inf):
         zig = zigzag_shortest(core_context(labels, spdag), below)
         if zig is not None:
             pick = (*zig, "zigzag")

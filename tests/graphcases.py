@@ -124,3 +124,18 @@ def chain_fan(L: int) -> tuple[Graph, int, int]:
     for b in range(L + 1, t):
         edges += [(L, b, 1), (0, b, L + 1), (b, t, 1)]
     return build_graph(t + 1, edges), 0, t
+
+
+def zero_tie_level() -> tuple[Graph, int]:
+    """A graph whose distance-1 level settles in neither sorted nor bucket
+    insertion order, rooted at 0.
+
+    Level 0 is {0, 6}; 0 reaches 4 and 6 reaches 1, so the level-1 bucket
+    is [4, 1] when it opens.  Zero edges then add 2 (from 1), 3 (from 4)
+    and 5 (from 2 or 4, whichever settles first).  The (distance, id) order
+    settles 1, 2, 4, 3, 5, so 5 takes 2 as parent; scanning the bucket as
+    it grows settles 4, 1, 3, 5, 2 and gives 5 the parent 4, because 2 has
+    not settled yet.
+    """
+    edges = [(0, 4, 1), (0, 6, 0), (6, 1, 1), (1, 2, 0), (2, 5, 0), (4, 5, 0), (3, 4, 0), (5, 7, 1)]
+    return build_graph(8, edges), 0

@@ -432,6 +432,11 @@ def test_criterion_9_work_per_size():
         "random zp=0.2 n=4096->16384": [
             (random_graph(n, 4 * n, 8, 0.2, seed=1), 0, n - 1) for n in (4096, 16384)
         ],
+        # weights up to 4*10**9 rarely repeat a distance, so both distance
+        # passes run on the heap form
+        "random W=4e9 n=4096->16384": [
+            (random_graph(n, 4 * n, 4 * 10**9, 0, seed=1), 0, n - 1) for n in (4096, 16384)
+        ],
         # each fan vertex's two cluster predecessors lie L tree steps apart
         "chain-plus-fan L=500->2000": [chain_fan(L) for L in (500, 2000)],
         # weights in {0, 1}: distance 0 and a detour of length 1, which ends

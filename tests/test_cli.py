@@ -160,6 +160,22 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert capsys.readouterr().out == "none (shortest 2)\n"
 
 
+def test_oracle_runs_one_distance_pass(tmp_path, capsys, monkeypatch):
+    # only the s-side distance to t is printed, so one pass from s is enough
+    roots = []
+    dijkstra = cli.dijkstra
+
+    def counted(g, root):
+        roots.append(root)
+        return dijkstra(g, root)
+
+    monkeypatch.setattr(cli, "dijkstra", counted)
+    path, s, t = fixture_file(tmp_path, "pent")
+    assert run(["oracle", path, "-s", str(s), "-t", str(t)]) == 0
+    assert capsys.readouterr().out == "found: length 5 (shortest 3)\n"
+    assert roots == [s]
+
+
 def test_exhaustive_cap_exit_two(tmp_path, capsys, monkeypatch):
     # tII has more than two simple s-t paths, so a cap of 2 truncates
     capped = functools.partial(oracle_next_to_shortest, cap=2)

@@ -1,15 +1,23 @@
 """Distances and the deterministic shortest-path tree."""
 from __future__ import annotations
 
+
+import heapq
 import random
 
-from graphcases import corpus, named_graph
+from graphcases import corpus, named_graph, zero_tie_level
+from ntsp import sssp
 from ntsp.detour import anchor_array, detour_candidates
 from ntsp.graph import random_graph
 from ntsp.oracle import oracle_detour_candidates, oracle_shortest_path_tree
 from ntsp.solver import distance_stage
 from ntsp.spdag import build_core
-from ntsp.sssp import dijkstra, distance_labels, shortest_path_tree, tree_path
+from ntsp.sssp import dijkstra, distance_labels, shortest_path_tree, tree_path, uses_buckets
+
+BOTH_FORMS = (
+    (sssp._dist_by_heap, sssp._tree_by_heap),
+    (sssp._dist_by_buckets, sssp._tree_by_buckets),
+)
 
 
 def bellman_ford(g, root):
@@ -122,3 +130,85 @@ def test_one_pass_tree_and_scan_match_references():
         ties += len(full) > 1 and full[1][0] == full[0][0]
     assert checked == 25_000
     assert ties > 10_000  # the least of several tied crossings is picked, not just the minimum
+
+
+def tree_in_bucket_list_order(g, root):
+    """Parents from a bucket queue that settles each level in list order,
+    the way the distance pass scans it, under the same parent rule."""
+    dist = [None] * g.n
+    parent = [-1] * g.n
+    done = bytearray(g.n)
+    dist[root] = 0
+    buckets = {0: [root]}
+    levels = [0]
+    while levels:
+        d = heapq.heappop(levels)
+        for u in buckets[d]:
+            if dist[u] != d:
+                continue
+            done[u] = 1
+            for v, w, _ in g.adj[u]:
+                nd = d + w
+                if dist[v] is None or nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = u
+                    if nd not in buckets:
+                        buckets[nd] = []
+                        heapq.heappush(levels, nd)
+                    buckets[nd].append(v)
+                elif nd == dist[v] and u < parent[v] and not done[v]:
+                    parent[v] = u
+        del buckets[d]
+    return dist, parent
+
+
+def test_zero_tie_level_settles_by_distance_then_id():
+    g, root = zero_tie_level()
+    assert uses_buckets(g)
+    dist, parent, _ = shortest_path_tree(g, root)
+    assert parent == oracle_shortest_path_tree(g, dist, root) == [-1, 6, 1, 4, 0, 2, 0, 5]
+    for _, tree in BOTH_FORMS:
+        assert tree(g, root)[1] == parent
+    # settling the bucket in list order gives 5 the parent 4, not 2: the
+    # sort at level open and the zero-arrival heap are both needed
+    listed_dist, listed_parent = tree_in_bucket_list_order(g, root)
+    assert listed_dist == dist
+    assert listed_parent[5] == 4 and listed_parent != parent
+
+
+def test_both_forms_match_references_on_large_weights():
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randint(2, 40)
+        m = rng.randint(n - 1, min(3 * n, n * (n - 1) // 2))
+        max_w = rng.choice((1, 3, 1000, 4 * 10**9))
+        zp = rng.choice((0.0, 0.3, 0.7))
+        g = random_graph(n, m, max_w, zp, seed=rng.randrange(1 << 30))
+        root = rng.randrange(n)
+        want = bellman_ford(g, root)
+        for dist_pass, tree in (*BOTH_FORMS, (dijkstra, shortest_path_tree)):
+            assert dist_pass(g, root) == want, (g, root)
+            dist, parent, _ = tree(g, root)
+            assert dist == want
+            assert parent == oracle_shortest_path_tree(g, dist, root), (g, root)
+
+
+def test_forms_agree_on_both_sides_of_the_switch():
+    # one seed family, so each side of BUCKET_SPAN * max_weight <= n is
+    # crossed by graphs of the same shape
+    sides = {True: 0, False: 0}
+    rng = random.Random(6)
+    for _ in range(300):
+        n = rng.randint(16, 120)
+        m = rng.randint(n - 1, min(4 * n, n * (n - 1) // 2))
+        max_w = rng.randint(1, 2 * n // sssp.BUCKET_SPAN)
+        zp = rng.choice((0.0, 0.2, 0.5, 0.9))
+        g = random_graph(n, m, max_w, zp, seed=rng.randrange(1 << 30))
+        assert g.max_weight == max(g.ew)
+        root = rng.randrange(n)
+        (heap_dist, heap_tree), (bucket_dist, bucket_tree) = BOTH_FORMS
+        tree = heap_tree(g, root)
+        assert bucket_tree(g, root) == tree == shortest_path_tree(g, root)
+        assert bucket_dist(g, root) == heap_dist(g, root) == dijkstra(g, root) == tree[0]
+        sides[uses_buckets(g)] += 1
+    assert min(sides.values()) >= 100, sides
