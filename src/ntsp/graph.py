@@ -11,7 +11,7 @@ import random
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, islice
 
 
 class GraphError(ValueError):
@@ -189,86 +189,84 @@ def _from_weights(n: int, weight: dict[int, int]) -> Graph:
     )
 
 
-def _connected(n: int, edges) -> bool:
-    if n == 0:
-        return False
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _ in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    reached = 1
-    while stack:
-        x = stack.pop()
-        for y in nbrs[x]:
-            if not seen[y]:
-                seen[y] = 1
-                reached += 1
-                stack.append(y)
-    return reached == n
-
-
 def parse_graph(text: bytes | str) -> Graph:
-    """Parse the text format, rejecting bad input with a line-specific error."""
+    """Parse the text format, rejecting bad input with a line-specific error.
+
+    One pass: each edge goes straight into the {a * n + b: w} dict that
+    _from_weights takes, and that dict is the duplicate check, as in
+    random_graph.  Connectivity is checked on the built Graph's rows.
+    """
     if isinstance(text, bytes):
         text = text.decode("ascii", errors="replace")
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int, int]] = []
-    seen_pairs: set[tuple[int, int]] = set()
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    lines = text.splitlines()
+    total = len(lines)
+    for head, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
-        if header is None:
-            if len(fields) != 2:
-                raise MalformedLineError(f"line {lineno}: expected 'n m' header", lineno)
-            try:
-                n, m = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise MalformedLineError(f"line {lineno}: non-integer header", lineno) from None
-            if n <= 0 or m < 0:
-                raise MalformedLineError(f"line {lineno}: bad sizes n={n} m={m}", lineno)
-            header = (n, m)
-            continue
-        n, m = header
-        if len(edges) >= m:
-            raise MalformedLineError(f"line {lineno}: more than {m} edges", lineno)
-        if len(fields) != 3:
-            raise MalformedLineError(f"line {lineno}: expected 'u v w'", lineno)
+        if len(fields) != 2:
+            raise MalformedLineError(f"line {head}: expected 'n m' header", head)
         try:
-            u, v, w = int(fields[0]), int(fields[1]), int(fields[2])
+            n, m = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise MalformedLineError(f"line {head}: non-integer header", head) from None
+        if n <= 0 or m < 0:
+            raise MalformedLineError(f"line {head}: bad sizes n={n} m={m}", head)
+        break
+    else:
+        raise MalformedLineError(f"line {total + 1}: missing header", total + 1)
+
+    weight: dict[int, int] = {}
+    count = 0
+    for lineno, raw in enumerate(islice(lines, head, None), start=head + 1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        if count == m:
+            raise MalformedLineError(f"line {lineno}: more than {m} edges", lineno)
+        try:
+            u, v, w = fields
+        except ValueError:
+            raise MalformedLineError(f"line {lineno}: expected 'u v w'", lineno) from None
+        try:
+            u, v, w = int(u), int(v), int(w)
         except ValueError:
             raise MalformedLineError(f"line {lineno}: non-integer edge", lineno) from None
         if not (0 <= u < n and 0 <= v < n):
             raise MalformedLineError(f"line {lineno}: vertex id out of range", lineno)
-        if w < 0:
-            raise NegativeWeightError(f"line {lineno}: negative weight {w}", lineno)
-        if w >= 1 << 32:
+        if not 0 <= w < 1 << 32:
+            if w < 0:
+                raise NegativeWeightError(f"line {lineno}: negative weight {w}", lineno)
             raise MalformedLineError(f"line {lineno}: weight does not fit 32 bits", lineno)
         if u == v:
             raise SelfLoopError(f"line {lineno}: self-loop at {u}", lineno)
-        pair = (min(u, v), max(u, v))
-        if pair in seen_pairs:
-            raise DuplicateEdgeError(f"line {lineno}: duplicate edge {pair[0]} {pair[1]}", lineno)
-        seen_pairs.add(pair)
-        edges.append((u, v, w))
-    if header is None:
-        raise MalformedLineError(f"line {last_line + 1}: missing header", last_line + 1)
-    n, m = header
-    if len(edges) != m:
-        raise MalformedLineError(
-            f"line {last_line + 1}: expected {m} edges, got {len(edges)}", last_line + 1
-        )
-    # fewer than n - 1 edges cannot connect n vertices: refuse before the
-    # n-sized connectivity check, which a large header alone would pay for
-    if m < n - 1 or not _connected(n, edges):
+        key = u * n + v if u < v else v * n + u
+        if key in weight:
+            raise DuplicateEdgeError(
+                f"line {lineno}: duplicate edge {min(u, v)} {max(u, v)}", lineno
+            )
+        weight[key] = w
+        count += 1
+    del lines
+    if count != m:
+        raise MalformedLineError(f"line {total + 1}: expected {m} edges, got {count}", total + 1)
+    # fewer than n - 1 edges cannot connect n vertices: refuse before
+    # anything n-sized is built, which a large header alone would pay for
+    if m < n - 1:
         raise DisconnectedGraphError("graph is not connected", None)
-    return build_graph(n, edges)
+    g = _from_weights(n, weight)
+    off, nbr = g.off, g.nbr
+    seen = bytearray(n)
+    seen[0] = 1
+    reached = [0]  # grows as it is read: each vertex's row is scanned once
+    for x in reached:
+        for y in nbr[off[x] : off[x + 1]]:
+            if not seen[y]:
+                seen[y] = 1
+                reached.append(y)
+    if len(reached) != n:
+        raise DisconnectedGraphError("graph is not connected", None)
+    return g
 
 
 def serialize_graph(g: Graph) -> str:

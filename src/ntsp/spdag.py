@@ -7,6 +7,8 @@ side lobes, after which membership means "lies on some simple shortest s-t
 path".  Without a tight zero edge there are no such lobes, and the trim is
 skipped.  Orienting the surviving positive edges away from s gives a DAG in
 which every directed path from u to v has length from_s[v] - from_s[u].
+The core keeps no adjacency of its own: its rows are the graph's CSR rows
+read through the core-edge flags and the levels (SpDag.row).
 """
 from __future__ import annotations
 
@@ -22,14 +24,12 @@ from .sssp import DistLabels
 class SpDag:
     """Trimmed shortest-path structure with positive edges oriented away from s.
 
-    arcs hold (u, v, w) with w > 0 and from_s[v] = from_s[u] + w; zero_edges
-    hold (u, v) with u < v and equal levels.  succ_all and pred_all are the
-    one adjacency format: row v lists (neighbour, weight) sorted, the arcs
-    out of v (into v for pred_all) plus every zero edge at v as a weight-0
-    step, so each zero edge appears in both directions.  That is the digraph
-    used for dominator computations and monotone searches.  Rows are built
-    for core vertices only; the row of a vertex outside the core is the
-    shared empty tuple.
+    in_core and core_edge flag the core's vertices and edge indices; arcs
+    hold (u, v, w) with w > 0 and from_s[v] = from_s[u] + w; zero_edges hold
+    (u, v) with u < v and equal levels.  No adjacency of its own is stored:
+    row reads the core's steps at a vertex from the graph's CSR row, and
+    succ_all and pred_all present those rows as sequences for the readers
+    that index or iterate them.
 
     Built once per query and never written to afterwards; not frozen,
     since a frozen dataclass's field-by-field setattr is a measurable share
@@ -43,12 +43,60 @@ class SpDag:
     core_edge: tuple[bool, ...]
     arcs: tuple[tuple[int, int, int], ...]
     zero_edges: tuple[tuple[int, int], ...]
-    succ_all: tuple[tuple[tuple[int, int], ...], ...]
-    pred_all: tuple[tuple[tuple[int, int], ...], ...]
     level: tuple[int, ...]
+    graph: Graph
 
     def core_vertices(self) -> list[int]:
         return [v for v in range(self.n) if self.in_core[v]]
+
+    def row(self, v: int, up: bool) -> list[tuple[int, int]]:
+        """v's core steps as (neighbour, weight) sorted by neighbour: the
+        arcs out of v when up, into v otherwise, plus every zero edge at v
+        as a weight-0 step, so each zero edge shows from both ends.  Empty
+        off the core.
+
+        Read from v's CSR row, kept where core_edge holds.  Along a core
+        edge the level rises by its weight, so the level alone tells the
+        direction, and a zero edge, which keeps the level, passes both ways.
+        """
+        g = self.graph
+        a, b = g.off[v], g.off[v + 1]
+        core_edge, level = self.core_edge, self.level
+        lv = level[v]
+        steps = zip(g.nbr[a:b], g.wt[a:b], g.eid[a:b])
+        if up:
+            return [(nb, w) for nb, w, e in steps if core_edge[e] and level[nb] >= lv]
+        return [(nb, w) for nb, w, e in steps if core_edge[e] and level[nb] <= lv]
+
+    @property
+    def succ_all(self) -> CoreRows:
+        return CoreRows(self, True)
+
+    @property
+    def pred_all(self) -> CoreRows:
+        return CoreRows(self, False)
+
+
+class CoreRows:
+    """Read-only view of one direction of the core's rows: rows[v] is
+    spdag.row(v, up), rebuilt on each access.  The digraph it spans is the
+    one dominator computations and monotone searches run on."""
+
+    __slots__ = ("_spdag", "_up")
+
+    def __init__(self, spdag: SpDag, up: bool):
+        self._spdag = spdag
+        self._up = up
+
+    def __len__(self) -> int:
+        return self._spdag.n
+
+    def __getitem__(self, v: int) -> list[tuple[int, int]]:
+        return self._spdag.row(v, self._up)
+
+    def __iter__(self) -> Iterator[list[tuple[int, int]]]:
+        row, up = self._spdag.row, self._up
+        return (row(v, up) for v in range(self._spdag.n))
 
 
 def distance_tight_subgraph(g: Graph, labels: DistLabels) -> tuple[list[bool], list[bool]]:
@@ -147,44 +195,29 @@ def trim_off_path_components(
 def orient_core(g: Graph, labels: DistLabels, core_v: list[bool], core_e: list[bool]) -> SpDag:
     """Package the trimmed structure with positive arcs pointing toward t.
 
-    The edges come in canonical order, so each row fills in neighbour order
-    and the zero edges come sorted, as in the graph's own rows.
+    The edges come in canonical order, so the zero edges come sorted.
     """
     from_s = labels.from_s
-    core = [v for v in range(g.n) if core_v[v]]
     arcs: list[tuple[int, int, int]] = []
     zero_edges: list[tuple[int, int]] = []
-    succ: dict[int, list[tuple[int, int]]] = {v: [] for v in core}
-    pred: dict[int, list[tuple[int, int]]] = {v: [] for v in core}
     for u, v, w in compress(zip(g.eu, g.ev, g.ew), core_e):
         if w == 0:
             zero_edges.append((u, v))
-            succ[u].append((v, 0))
-            pred[u].append((v, 0))
-            succ[v].append((u, 0))
-            pred[v].append((u, 0))
-            continue
-        if from_s[u] > from_s[v]:
-            u, v = v, u
-        arcs.append((u, v, w))
-        succ[u].append((v, w))
-        pred[v].append((u, w))
-    succ_all: list = [()] * g.n
-    pred_all: list = [()] * g.n
-    for v in core:
-        succ_all[v] = tuple(succ[v])
-        pred_all[v] = tuple(pred[v])
+        elif from_s[u] < from_s[v]:
+            arcs.append((u, v, w))
+        else:
+            arcs.append((v, u, w))
+    arcs.sort()
     return SpDag(
         n=g.n,
         source=labels.source,
         target=labels.target,
         in_core=tuple(core_v),
         core_edge=tuple(core_e),
-        arcs=tuple(sorted(arcs)),
+        arcs=tuple(arcs),
         zero_edges=tuple(zero_edges),
-        succ_all=tuple(succ_all),
-        pred_all=tuple(pred_all),
-        level=tuple(labels.from_s),
+        level=tuple(from_s),
+        graph=g,
     )
 
 

@@ -60,8 +60,22 @@ def zero_clusters(spdag: SpDag) -> ZeroPartition:
     it lies in v's component, and top_s[v] is the root otherwise; top_t
     does the same from t over the reversed arcs.
     """
-    top_s = _block_tops(spdag, spdag.source, spdag.pred_all)
-    top_t = _block_tops(spdag, spdag.target, spdag.succ_all)
+    # the zero rows, shared by both sides' DFSs; the entries are the
+    # zero-edge vertices that a positive arc enters (s side) or leaves (t side)
+    rows: dict[int, list[int]] = {}
+    for u, v in spdag.zero_edges:
+        rows.setdefault(u, []).append(v)
+        rows.setdefault(v, []).append(u)
+    heads: set[int] = set()
+    tails: set[int] = set()
+    if rows:
+        for u, v, _ in spdag.arcs:
+            if v in rows:
+                heads.add(v)
+            if u in rows:
+                tails.add(u)
+    top_s = _block_tops(rows, spdag.n, spdag.source, heads)
+    top_t = _block_tops(rows, spdag.n, spdag.target, tails)
     surviving: dict[int, list[int]] = {}
     severed: list[tuple[int, int]] = []
     for u, v in spdag.zero_edges:
@@ -113,23 +127,24 @@ def zero_clusters(spdag: SpDag) -> ZeroPartition:
     )
 
 
-def _block_tops(spdag: SpDag, end: int, rows: tuple) -> dict[int, int]:
-    """The top of each zero-edge vertex's block in the zero edges plus a
-    virtual root, id spdag.n, joined to the side's entries: end and each
-    zero-edge vertex with a positive step in rows (pred_all seen from s,
-    succ_all from t)."""
-    root = spdag.n
-    nbrs = {root: []}
-    for v in dict.fromkeys(chain.from_iterable(spdag.zero_edges)):
-        nbrs[v] = row = [nb for nb, w in rows[v] if w == 0]
-        if v == end or len(row) < len(rows[v]):
-            nbrs[root].append(v)
-            row.append(root)
+def _block_tops(
+    rows: dict[int, list[int]], root: int, end: int, entries: set[int]
+) -> dict[int, int]:
+    """The top of each zero-edge vertex's block in the zero rows plus a
+    virtual root, id root, joined to the side's entries: end and the
+    vertices in entries.  The root is added to rows and taken out again."""
+    starts = [v for v in rows if v == end or v in entries]
+    for v in starts:
+        rows[v].append(root)
+    rows[root] = starts
     top: dict[int, int] = {}
-    for p, members in biconnected_blocks(nbrs, root, root + 1):
+    for p, members in biconnected_blocks(rows, root, root + 1):
         for v in members:
             top[v] = p
-    assert len(top) == len(nbrs) - 1, "a zero-edge vertex that no entry reaches"
+    del rows[root]
+    for v in starts:
+        rows[v].pop()
+    assert len(top) == len(rows), "a zero-edge vertex that no entry reaches"
     return top
 
 

@@ -325,13 +325,9 @@ def strict_join(*segments: list[int]) -> list[int] | None:
 
 def core_step_weight(spdag: SpDag, a: int, b: int) -> int | None:
     """Weight of the core edge between a and b, either direction, else None."""
-    for nb, w in spdag.succ_all[a]:
-        if nb == b:
-            return w
-    for nb, w in spdag.pred_all[a]:
-        if nb == b:
-            return w
-    return None
+    g = spdag.graph
+    e = g.edge_index(a, b)
+    return g.ew[e] if e is not None and spdag.core_edge[e] else None
 
 
 def verify_zigzag(spdag: SpDag, path: list[int], delta: int) -> bool:

@@ -14,6 +14,7 @@ import tracemalloc
 from functools import partial
 
 import numpy as np
+import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
@@ -23,7 +24,7 @@ from conftest import record_criterion
 from graphcases import EXPECTED, NAMED, chain_fan, corpus, named_graph, zgrid
 from ntsp.detour import anchor_array, detour_candidates
 from ntsp.dominators import core_dominator_trees
-from ntsp.graph import build_graph, random_graph, serialize_graph
+from ntsp.graph import build_graph, parse_graph, random_graph, serialize_graph
 from ntsp.oracle import (
     backward_feasible,
     cluster_topo_order,
@@ -361,15 +362,20 @@ def unit_grid(k: int):
     return build_graph(k * k, edges)
 
 
-def cluster_dag_peak_mib(g, s, t) -> float:
-    spdag, partition = structure_stage(g, distance_labels(g, s, t))
+def traced_peak(run) -> int:
+    """tracemalloc's peak, in bytes, over one call of run."""
     gc.collect()
     tracemalloc.start()
     try:
-        build_cluster_dag(spdag, partition)
-        return tracemalloc.get_traced_memory()[1] / 2**20
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def cluster_dag_peak_mib(g, s, t) -> float:
+    spdag, partition = structure_stage(g, distance_labels(g, s, t))
+    return traced_peak(partial(build_cluster_dag, spdag, partition)) / 2**20
 
 
 def test_criterion_8_wide_core_scaling():
@@ -422,11 +428,11 @@ def executed_lines(g, s, t, budget: float = math.inf) -> int:
     return count
 
 
-def test_criterion_9_work_per_size():
-    # executed lines are exact and repeatable where wall time is noisy;
-    # per unit of n + m they must stay flat as each family grows
-    bound = 1.10
-    families = {
+@pytest.fixture(scope="module")
+def work_families():
+    """Criterion 9's six families, a small and a large query each; criterion
+    10 reads the same queries."""
+    return {
         "unit grid k=32->128": [(unit_grid(k), 0, k * k - 1) for k in (32, 128)],
         "zgrid p=0.3 k=32->128": [(zgrid(k, 0.3), 0, k * k - 1) for k in (32, 128)],
         "random zp=0.2 n=4096->16384": [
@@ -446,9 +452,15 @@ def test_criterion_9_work_per_size():
             (random_graph(n, 2 * n, 1, 0.9, seed=5), 0, n - 1) for n in (4000, 16000)
         ],
     }
+
+
+def test_criterion_9_work_per_size(work_families):
+    # executed lines are exact and repeatable where wall time is noisy;
+    # per unit of n + m they must stay flat as each family grows
+    bound = 1.10
     notes = []
     ok = True
-    for name, (small, big) in families.items():
+    for name, (small, big) in work_families.items():
         small_rate = executed_lines(*small) / (small[0].n + small[0].m)
         big_size = big[0].n + big[0].m
         try:
@@ -461,4 +473,44 @@ def test_criterion_9_work_per_size():
         ok = ok and ratio <= bound
         notes.append(f"{name} {small_rate:.1f} -> {got}")
     record_criterion(9, ok, "; ".join(notes))
+    assert ok, notes
+
+
+# bytes per (n + m) of one whole query's peak, for either size of the
+# family: a few percent above the readings, small -> large, noted after
+# each (Python 3.11); lower a ceiling when a change shrinks its family
+QUERY_PEAK_CEILINGS = {
+    "unit grid k=32->128": 510,  # 466 -> 481
+    "zgrid p=0.3 k=32->128": 400,  # 372 -> 376
+    "random zp=0.2 n=4096->16384": 70,  # 65 -> 65
+    "random W=4e9 n=4096->16384": 52,  # 48 -> 49
+    "chain-plus-fan L=500->2000": 550,  # 518 -> 499
+    "zero-heavy random zp=0.9 n=4000->16000": 190,  # 170 -> 175
+}
+PARSE_PEAK_CEILING = 230  # bytes per edge at m = 32,768; read 209
+
+
+def test_criterion_10_memory_per_size(work_families):
+    # tracemalloc counts are exact, so memory that grows faster than the
+    # input, or a copy of it that comes back, shows without timing noise
+    bound = 1.10
+    notes = []
+    ok = True
+    for name, (small, big) in work_families.items():
+        rates = [
+            traced_peak(partial(next_to_shortest, *q)) / (q[0].n + q[0].m) for q in (small, big)
+        ]
+        ratio = rates[1] / rates[0]
+        ceiling = QUERY_PEAK_CEILINGS[name]
+        ok = ok and ratio <= bound and max(rates) <= ceiling
+        notes.append(
+            f"{name} {rates[0]:.0f} -> {rates[1]:.0f} B/(n+m) "
+            f"(ceiling {ceiling}), ratio {ratio:.2f}"
+        )
+    g = random_graph(8192, 32768, 8, 0.2, seed=3)
+    text = serialize_graph(g).encode()
+    per_edge = traced_peak(partial(parse_graph, text)) / g.m
+    ok = ok and per_edge <= PARSE_PEAK_CEILING
+    notes.append(f"parse_graph m=32768 {per_edge:.0f} B/edge (ceiling {PARSE_PEAK_CEILING})")
+    record_criterion(10, ok, "; ".join(notes))
     assert ok, notes

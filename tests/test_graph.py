@@ -11,6 +11,7 @@ import pytest
 from ntsp.graph import (
     DisconnectedGraphError,
     DuplicateEdgeError,
+    GraphError,
     InfeasibleSpecError,
     MalformedLineError,
     NegativeWeightError,
@@ -228,3 +229,90 @@ def test_graph_memory_is_linear_in_edges():
         tracemalloc.stop()
     assert held / g.m <= 128, held / g.m
     assert peak / g.m <= 256, peak / g.m
+
+
+# (text, error class, line, message); None as the class means the text parses.
+# Rows with several faults pin which check comes first.
+PARSE_CASES = [
+    # out of range beats the negative weight and the self-loop
+    ("3 3\n3 3 -1\n", MalformedLineError, 2, "line 2: vertex id out of range"),
+    ("3 3\n0 1 1\n5 1 -1\n", MalformedLineError, 3, "line 3: vertex id out of range"),
+    # a negative weight beats the self-loop
+    ("2 1\n1 1 -1\n", NegativeWeightError, 2, "line 2: negative weight -1"),
+    # so does an oversized weight
+    ("2 1\n1 1 4294967296\n", MalformedLineError, 2, "line 2: weight does not fit 32 bits"),
+    ("3 2\n0 1 1\n1 0 2\n", DuplicateEdgeError, 3, "line 3: duplicate edge 0 1"),
+    ("3 2\n1 2 1\n2 1 1\n", DuplicateEdgeError, 3, "line 3: duplicate edge 1 2"),
+    ("3 2\n0 1 1\n0 1 1\n", DuplicateEdgeError, 3, "line 3: duplicate edge 0 1"),
+    # the edge count is checked before the field count and the values
+    ("3 2\n0 1 1\n1 2 1\n0 2 1\n", MalformedLineError, 4, "line 4: more than 2 edges"),
+    ("3 2\n0 1 1\n1 2 1\nx\n", MalformedLineError, 4, "line 4: more than 2 edges"),
+    ("3 2\n0 1 1\n1 2\n", MalformedLineError, 3, "line 3: expected 'u v w'"),
+    ("3 2\n0 1 1\n1 2 1 1\n", MalformedLineError, 3, "line 3: expected 'u v w'"),
+    ("3 2\n0 1 1\n1 2 x\n", MalformedLineError, 3, "line 3: non-integer edge"),
+    # tabs, CRLF, a lone CR and a form feed all separate as splitlines says
+    ("3 2\n0\t1\t1\r\n1 2 1\r\n", None, None, None),
+    ("2 1\r0 1 1\r", None, None, None),
+    ("2 1\n\x0c0 1 1\n", None, None, None),
+    ("2 1\r\n\r\n0 1 1 1\r\n", MalformedLineError, 3, "line 3: expected 'u v w'"),
+    # comments: '#' only counts at the start of a line's first field
+    ("#x\n3 2\n#comment\n0 1 1\n  # indented\n1 2 1\n# done", None, None, None),
+    ("3 2 #c\n0 1 1\n1 2 1\n", MalformedLineError, 1, "line 1: expected 'n m' header"),
+    ("3 2\n0 1 1#c\n1 2 1\n", MalformedLineError, 2, "line 2: non-integer edge"),
+    ("3 2\n0 1 1 #c\n1 2 1\n", MalformedLineError, 2, "line 2: expected 'u v w'"),
+    ("3 2\n#0 1 1\n1 2 1\n", MalformedLineError, 4, "line 4: expected 2 edges, got 1"),
+    # trailing blank and comment lines move the short-list line
+    ("3 2\n0 1 1\n", MalformedLineError, 3, "line 3: expected 2 edges, got 1"),
+    ("3 2\n0 1 1\n\n#tail\n\n", MalformedLineError, 6, "line 6: expected 2 edges, got 1"),
+    ("3 2\n0 1 1\n# tail", MalformedLineError, 4, "line 4: expected 2 edges, got 1"),
+    # the edge count is checked before connectivity
+    ("4 2\n0 1 1\n", MalformedLineError, 3, "line 3: expected 2 edges, got 1"),
+    ("4 2\n0 1 1\n2 3 1\n", DisconnectedGraphError, None, "graph is not connected"),
+    ("4 3\n0 1 1\n2 3 1\n1 0 1\n", DuplicateEdgeError, 4, "line 4: duplicate edge 0 1"),
+    ("4 3\n0 1 1\n2 3 1\n0 2 1\n", None, None, None),
+    ("4 3\n0 1 1\n1 2 1\n0 2 1\n", DisconnectedGraphError, None, "graph is not connected"),
+    # headers
+    ("", MalformedLineError, 1, "line 1: missing header"),
+    ("\n\n", MalformedLineError, 3, "line 3: missing header"),
+    ("# only\n", MalformedLineError, 2, "line 2: missing header"),
+    ("0 0\n", MalformedLineError, 1, "line 1: bad sizes n=0 m=0"),
+    ("2 -1\n", MalformedLineError, 1, "line 1: bad sizes n=2 m=-1"),
+    ("2 1 3\n", MalformedLineError, 1, "line 1: expected 'n m' header"),
+    ("a b\n", MalformedLineError, 1, "line 1: non-integer header"),
+    ("1 0\n", None, None, None),
+    # non-ASCII: bytes decode with replacement, str is taken as it is
+    (b"3 2\n0 1 1\n1 2 \xe9\n", MalformedLineError, 3, "line 3: non-integer edge"),
+    (b"3 2\n0 1 \xc3\xa91\n", MalformedLineError, 2, "line 2: non-integer edge"),
+    ("3 2\n0 1 1\n1 2 \xe9\n", MalformedLineError, 3, "line 3: non-integer edge"),
+    (b"# caf\xc3\xa9\n2 1\n0 1 1\n", None, None, None),
+    ("2 1\n0 1 1\n", None, None, None),
+    ("2 1\n0 1 1 1 0 1\n", MalformedLineError, 3, "line 3: more than 1 edges"),
+]
+
+
+@pytest.mark.parametrize("text, cls, line, message", PARSE_CASES)
+def test_parse_checks_in_order(text, cls, line, message):
+    if cls is None:
+        g = parse_graph(text)
+        assert g == build_graph(g.n, g.edges)
+        return
+    with pytest.raises(GraphError) as err:
+        parse_graph(text)
+    assert type(err.value) is cls
+    assert err.value.line == line
+    assert str(err.value) == message
+
+
+def test_parse_round_trip_rows():
+    # the parser's rows and max_weight equal the generator's, array for array
+    rng = random.Random(20261020)
+    for i in range(1200):
+        n = rng.randint(1, 40)
+        m = rng.randint(n - 1, min(4 * n, n * (n - 1) // 2))
+        max_w = rng.choice([1, 3, 1000, 4 * 10**9])
+        zp = rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 0.9])
+        g = random_graph(n, m, max_w, zp, seed=rng.randrange(1 << 32))
+        h = parse_graph(serialize_graph(g) if i % 2 else serialize_graph(g).encode())
+        assert h == g
+        assert (h.off, h.nbr, h.wt, h.eid) == (g.off, g.nbr, g.wt, g.eid)
+        assert h.max_weight == g.max_weight

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import ntsp.spdag
-from graphcases import corpus, named_graph
+from graphcases import corpus, named_graph, zgrid
 from ntsp.graph import random_graph
 from ntsp.oracle import enumerate_simple_st_paths, oracle_trim_off_path_components, path_length
 from ntsp.spdag import build_core, distance_tight_subgraph, trim_off_path_components
@@ -199,3 +199,52 @@ def test_trim_runs_only_for_tight_zero_edges(monkeypatch):
         core_v, core_e = trim_off_path_components(g, labels, tight_v, tight_e)
         assert (spdag.in_core, spdag.core_edge) == (tuple(core_v), tuple(core_e)), (g, s, t)
     assert sides[0] >= 6000 and sides[1] >= 1500  # 6,132 and 1,868 here
+
+
+def reference_rows(g, spdag):
+    """Both row sets rebuilt from g.edges, core_edge and level alone."""
+    succ = [[] for _ in range(g.n)]
+    pred = [[] for _ in range(g.n)]
+    for i, (u, v, w) in enumerate(g.edges):
+        if not spdag.core_edge[i]:
+            continue
+        if w == 0:
+            succ[u].append((v, 0))
+            succ[v].append((u, 0))
+            pred[u].append((v, 0))
+            pred[v].append((u, 0))
+            continue
+        if spdag.level[u] > spdag.level[v]:
+            u, v = v, u
+        succ[u].append((v, w))
+        pred[v].append((u, w))
+    return [sorted(r) for r in succ], [sorted(r) for r in pred]
+
+
+def test_core_rows_match_edge_reference():
+    cases = list(corpus(5000))
+    rng = random.Random(20261020)
+    for _ in range(1500):
+        n = rng.randint(2, 60)
+        m = rng.randint(n - 1, min(3 * n, n * (n - 1) // 2))
+        zp = rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 0.9])
+        s, t = rng.sample(range(n), 2)
+        g = random_graph(n, m, rng.choice([1, 3, 8]), zp, seed=rng.randrange(1 << 32))
+        cases.append((g, s, t))
+    for k in range(2, 13):
+        for p in (0.0, 0.3, 0.7):
+            cases.append((zgrid(k, p, seed=k), 0, k * k - 1))
+    zero_rows = 0
+    for g, s, t in cases:
+        spdag = build_core(g, distance_labels(g, s, t))
+        succ, pred = reference_rows(g, spdag)
+        assert [spdag.row(v, True) for v in range(g.n)] == succ, (g, s, t)
+        assert [spdag.row(v, False) for v in range(g.n)] == pred, (g, s, t)
+        assert list(spdag.succ_all) == succ and list(spdag.pred_all) == pred
+        assert len(spdag.succ_all) == len(spdag.pred_all) == g.n
+        for v in range(g.n):
+            if not spdag.in_core[v]:
+                assert spdag.succ_all[v] == spdag.pred_all[v] == []
+        zero_rows += bool(spdag.zero_edges)
+    assert len(cases) == 5000 + 1500 + 33
+    assert zero_rows >= 3500, zero_rows  # 3,941 cores with a zero edge here
