@@ -13,9 +13,10 @@ arc of the core.  A tie goes to the detour, so the zigzag layer (zero
 clusters, cluster DAG, candidate walk) is built only when the detour is
 missing or longer than shortest + 2*w_min, and then walks only the
 candidates strictly shorter than the detour.  w_min is read only when the
-detour exists.  No stage builds a dominator tree of the core: the zero
-clusters come from block DFSs over the zero edges, and dominators are taken
-on the cluster DAG only.
+detour exists.  A core without zero edges skips the contraction: its every
+cluster is one vertex, so the layer walks the core itself.  No stage builds
+a dominator tree of the core: the zero clusters come from block DFSs over
+the zero edges, and dominators are taken on the cluster DAG only.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .graph import DisconnectedGraphError, Graph, GraphError
 from .spdag import SpDag, build_core
 from .sssp import INF, DistLabels, dijkstra, shortest_path_tree
 from .sssp import distance_labels  # noqa: F401  perfbench wraps ntsp.solver.distance_labels
-from .zerostruct import ZeroPartition, build_cluster_dag, zero_clusters
+from .zerostruct import ZeroPartition, build_cluster_dag, zero_clusters, zero_free_dag
 from .zigzag import CoreContext, zigzag_shortest
 
 
@@ -74,7 +75,10 @@ def structure_stage(g: Graph, labels: DistLabels) -> tuple[SpDag, ZeroPartition]
 
 
 def core_context(labels: DistLabels, spdag: SpDag) -> CoreContext:
-    """The zigzag layer's view of one query, over its already built core."""
+    """The zigzag layer's view of one query, over its already built core.
+    A zero-free core is its own cluster DAG, with no partition."""
+    if not spdag.zero_edges:
+        return CoreContext(labels=labels, spdag=spdag, partition=None, dag=zero_free_dag(spdag))
     partition = zero_clusters(spdag)
     dag = build_cluster_dag(spdag, partition)
     return CoreContext(labels=labels, spdag=spdag, partition=partition, dag=dag)

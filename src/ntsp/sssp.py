@@ -249,17 +249,18 @@ def tree_path(parent: list[int], root: int, v: int) -> list[int]:
 
 
 def bfs_path(
-    start: int, goal: int, neighbours: Callable[[int], Iterable[int]]
+    start: int, goal: int, neighbours: Callable[[int], Iterable[int]], banned: Iterable[int] = ()
 ) -> list[int] | None:
-    """Fewest-hop path start to goal, or None.
+    """Fewest-hop path start to goal that avoids banned, or None.
 
-    neighbours(x) lists the allowed steps out of x; among equally short
-    paths the one found through earlier-listed steps wins, so a sorted
-    neighbour order makes the smallest ids win.
+    neighbours(x) lists the steps out of x; among equally short paths the
+    one found through earlier-listed steps wins, so a sorted neighbour
+    order makes the smallest ids win.
     """
     if start == goal:
         return [start]
-    prev = {start: start}
+    prev = dict.fromkeys(banned, start)  # never stepped to, never on the path
+    prev[start] = start
     queue = [start]
     for x in queue:
         for y in neighbours(x):

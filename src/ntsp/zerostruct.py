@@ -5,16 +5,17 @@ side rather than the core's dominator trees, are severed and oriented; what
 survives groups into clusters whose members are mutually reachable without
 ever crossing one of their own dominators.  Contracting each cluster to a
 single node yields a DAG whose directed reachability is the precedence order
-the backward-pair search runs on.  Nothing here stores that order for all
-pairs.  The Kahn count that checks the contraction for a cycle pops the
-clusters in a topological order, and both cluster dominator trees are built
-in one pass over it (dominators.dag_dominators); the order is not kept.
+the backward-pair search runs on.  A core without zero edges is its own
+cluster DAG (zero_free_dag).  Nothing here stores that order for all pairs.
+Both cluster dominator trees are built in one pass over a topological order
+(dominators.dag_dominators): the order the Kahn count that checks a
+contraction for a cycle pops the clusters in, or the core sorted by level.
 band_walk is the one search over the arcs, kept to a band of levels, and
 the zigzag layer's walks are made of it.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, compress
 
@@ -148,8 +149,12 @@ def _block_tops(
     return top
 
 
-def zero_path_within(partition: ZeroPartition, a: int, b: int) -> list[int]:
-    """Deterministic simple path from a to b inside their shared cluster."""
+def zero_path_within(partition: ZeroPartition | None, a: int, b: int) -> list[int]:
+    """Deterministic simple path from a to b inside their shared cluster.
+    A zero-free core has no partition, and a cluster is its one vertex."""
+    if partition is None:
+        assert a == b, "a zero-free cluster is one vertex"
+        return [a]
     assert partition.comp[a] == partition.comp[b] != -1
     path = bfs_path(a, b, partition.surviving_adj.__getitem__)
     assert path is not None, "cluster members are zero-connected"
@@ -158,12 +163,16 @@ def zero_path_within(partition: ZeroPartition, a: int, b: int) -> list[int]:
 
 @dataclass(slots=True)
 class ClusterDag:
-    """Contraction of the core onto zero clusters.
+    """Contraction of the core onto zero clusters, or the core itself when
+    it has no zero edge.
 
-    Arcs carry (head, weight, witness_u, witness_v) where the witness is a
-    core edge joining the two clusters; zero arcs come from severed edges.
-    The arcs are checked to be acyclic when built; no topological order is
-    kept (oracle.cluster_topo_order makes one for the tests).
+    succ[c] and pred[c] are sorted int rows of heads and tails; an arc a -> b
+    weighs comp_level[b] - comp_level[a].  witness maps a contraction's arc
+    (a, b) to a core edge (u, v) joining the clusters; zero arcs come from
+    severed edges.  A zero-free DAG has cluster id = vertex id, witness None
+    (an arc is its own edge) and one shared empty row off the core.  nodes
+    lists the cluster ids in ascending order.  The arcs are acyclic; no
+    topological order is kept.
 
     Built once per query and never written to afterwards; not frozen,
     since a frozen dataclass's field-by-field setattr is a measurable share
@@ -171,13 +180,23 @@ class ClusterDag:
     """
 
     count: int
-    succ: tuple[tuple[tuple[int, int, int, int], ...], ...]
-    pred: tuple[tuple[tuple[int, int, int, int], ...], ...]
+    succ: list[Sequence[int]]
+    pred: list[Sequence[int]]
     idom_s: DomTree
     idom_t: DomTree
     source_comp: int
     target_comp: int
-    comp_level: tuple[int, ...]
+    comp_level: Sequence[int]
+    witness: dict[tuple[int, int], tuple[int, int]] | None
+    nodes: Sequence[int]
+
+    @classmethod
+    def over(cls, succ, pred, order, sc, tc, level, witness, nodes) -> ClusterDag:
+        """The DAG on these rows, both dominator trees taken along order."""
+        count = len(succ)
+        idom_s = dag_dominators(count, pred, order, sc)
+        idom_t = dag_dominators(count, succ, order[::-1], tc)
+        return cls(count, succ, pred, idom_s, idom_t, sc, tc, level, witness, nodes)
 
 
 def band_walk(
@@ -193,41 +212,58 @@ def band_walk(
     seen = {start, avoid}
     stack = [start]
     while stack:
-        for c, _, _, _ in arcs[stack.pop()]:
+        for c in arcs[stack.pop()]:
             if c not in seen and lo <= level[c] <= hi:
                 seen.add(c)
                 yield c
                 stack.append(c)
 
 
+def zero_free_dag(spdag: SpDag) -> ClusterDag:
+    """The cluster DAG of a core without zero edges: the core itself.
+
+    Every arc climbs a level, so the core vertices sorted by level are a
+    topological order, and both dominator passes run over it.  The arcs
+    come sorted by (u, v), so every row fills sorted.
+    """
+    assert not spdag.zero_edges
+    n, level = spdag.n, spdag.level
+    core = list(compress(range(n), spdag.in_core))
+    succ: list[Sequence[int]] = [()] * n
+    pred: list[Sequence[int]] = [()] * n
+    for v in core:
+        succ[v] = []
+        pred[v] = []
+    for u, v, _ in spdag.arcs:
+        succ[u].append(v)
+        pred[v].append(u)
+    order = sorted(core, key=level.__getitem__)
+    return ClusterDag.over(succ, pred, order, spdag.source, spdag.target, level, None, core)
+
+
 def build_cluster_dag(spdag: SpDag, partition: ZeroPartition) -> ClusterDag:
     """Contract the core onto the partition; ClusterCycleError on a cycle."""
-    comp = partition.comp
+    comp, level = partition.comp, partition.comp_level
     count = partition.count
-    arcs: dict[tuple[int, int], tuple[int, int, int]] = {}
+    # one witness per arc, the least (u, v) of the parallel core edges
+    witness: dict[tuple[int, int], tuple[int, int]] = {}
     for u, v, w in chain(spdag.arcs, ((u, v, 0) for u, v in partition.severed)):
         key = (comp[u], comp[v])
-        cur = arcs.get(key)
+        cur = witness.get(key)
         if cur is None:
-            arcs[key] = (w, u, v)
+            witness[key] = (u, v)
         else:
-            assert cur[0] == w, "parallel cluster arcs must agree in weight"
-            arcs[key] = min(cur, (w, u, v))
+            assert w == level[key[1]] - level[key[0]], "parallel cluster arcs must agree in weight"
+            if (u, v) < cur:
+                witness[key] = (u, v)
 
-    succ: list[list[tuple[int, int, int, int]]] = [[] for _ in range(count)]
-    pred: list[list[tuple[int, int, int, int]]] = [[] for _ in range(count)]
-    heads: list[list[int]] = [[] for _ in range(count)]  # the dominator passes' rows
-    tails: list[list[int]] = [[] for _ in range(count)]
-    for (a, b), (w, u, v) in arcs.items():
-        succ[a].append((b, w, u, v))
-        pred[b].append((a, w, u, v))
-        heads[a].append(b)
-        tails[b].append(a)
-    del arcs
-    for rows in (succ, pred):
-        for c, row in enumerate(rows):
-            row.sort()
-            rows[c] = tuple(row)  # frees each list as it goes
+    succ: list[list[int]] = [[] for _ in range(count)]
+    pred: list[list[int]] = [[] for _ in range(count)]
+    for a, b in witness:
+        succ[a].append(b)
+        pred[b].append(a)
+    for row in chain(succ, pred):
+        row.sort()
 
     # Kahn's count: every cluster leaves the ready stack iff there is no
     # cycle, and the order they leave in feeds both dominator passes
@@ -237,7 +273,7 @@ def build_cluster_dag(spdag: SpDag, partition: ZeroPartition) -> ClusterDag:
     while ready:
         c = ready.pop()
         order.append(c)
-        for b, _, _, _ in succ[c]:
+        for b in succ[c]:
             indeg[b] -= 1
             if indeg[b] == 0:
                 ready.append(b)
@@ -245,15 +281,4 @@ def build_cluster_dag(spdag: SpDag, partition: ZeroPartition) -> ClusterDag:
         raise ClusterCycleError("cluster contraction is cyclic")
 
     sc, tc = comp[spdag.source], comp[spdag.target]
-    idom_s = dag_dominators(count, tails, order, sc)
-    idom_t = dag_dominators(count, heads, order[::-1], tc)
-    return ClusterDag(
-        count=count,
-        succ=tuple(succ),
-        pred=tuple(pred),
-        idom_s=idom_s,
-        idom_t=idom_t,
-        source_comp=sc,
-        target_comp=tc,
-        comp_level=partition.comp_level,
-    )
+    return ClusterDag.over(succ, pred, order, sc, tc, level, witness, range(count))

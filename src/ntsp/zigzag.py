@@ -41,12 +41,17 @@ class RealizationExhausted(RuntimeError):
 @dataclass(slots=True)
 class CoreContext:
     """Everything the backward-pair machinery needs about one query; never
-    written to after construction."""
+    written to after construction.  partition is None on a core without
+    zero edges, whose dag is the core itself."""
 
     labels: DistLabels
     spdag: SpDag
-    partition: ZeroPartition
+    partition: ZeroPartition | None
     dag: ClusterDag
+
+    def members(self, c: int) -> tuple[int, ...]:
+        """The core vertices of cluster c."""
+        return (c,) if self.partition is None else self.partition.members[c]
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +256,7 @@ def climb_path(
 ) -> list[int] | None:
     """Fewest-hop monotone path start to goal, smallest ids first, or None."""
     adj = spdag.pred_all if descending else spdag.succ_all
-    return bfs_path(
-        start, goal,
-        lambda x: (nb for nb, _ in adj[x] if nb not in banned and spdag.in_core[nb]),
-    )
+    return bfs_path(start, goal, lambda x: (nb for nb, _ in adj[x] if spdag.in_core[nb]), banned)
 
 
 def cluster_route(
@@ -263,41 +265,33 @@ def cluster_route(
     """Fewest-arc cluster walk start to goal along the arcs, or against them
     when forward is False, smallest ids first, or None."""
     arcs = dag.succ if forward else dag.pred
-    return bfs_path(start, goal, lambda c: (b for b, _, _, _ in arcs[c] if b not in banned))
+    return bfs_path(start, goal, arcs.__getitem__, banned)
 
 
 def _arc_witness(dag: ClusterDag, a: int, b: int) -> tuple[int, int]:
-    for head, _, u, v in dag.succ[a]:
-        if head == b:
-            return u, v
-    raise AssertionError(f"no cluster arc {a}->{b}")
+    """The core edge (u in a, v in b) behind the step from cluster a to b,
+    along its arc or against it; on a zero-free DAG, (a, b) itself."""
+    if dag.witness is None:
+        if b in dag.succ[a] or a in dag.succ[b]:
+            return a, b
+    elif (a, b) in dag.witness:
+        return dag.witness[a, b]
+    elif (b, a) in dag.witness:
+        v, u = dag.witness[b, a]
+        return u, v
+    raise AssertionError(f"no cluster arc between {a} and {b}")
 
 
 def expand_comp_walk(
-    partition: ZeroPartition,
-    dag: ClusterDag,
-    comps: list[int],
-    dirs: list[bool],
-    enter: int,
-    exit_: int,
+    partition: ZeroPartition | None, dag: ClusterDag, comps: list[int], enter: int, exit_: int
 ) -> list[int]:
-    """Expand a cluster walk to vertices, stitching zero paths inside clusters.
-
-    dirs[i] tells whether the arc between comps[i] and comps[i+1] points
-    forward; a backward step traverses the witness edge against its arc.
-    """
-    assert len(dirs) == len(comps) - 1
+    """Expand a cluster walk, each step along an arc or against it, to
+    vertices, stitching zero paths inside clusters."""
     cur = enter
     out: list[int] = []
-    for i, fwd in enumerate(dirs):
-        if fwd:
-            u, v = _arc_witness(dag, comps[i], comps[i + 1])
-            hop_from, hop_to = u, v
-        else:
-            u, v = _arc_witness(dag, comps[i + 1], comps[i])
-            hop_from, hop_to = v, u
-        seg = zero_path_within(partition, cur, hop_from)
-        out.extend(seg)
+    for a, b in zip(comps, comps[1:]):
+        hop_from, hop_to = _arc_witness(dag, a, b)
+        out.extend(zero_path_within(partition, cur, hop_from))
         cur = hop_to
     out.extend(zero_path_within(partition, cur, exit_))
     return out
@@ -396,21 +390,21 @@ def build_candidate_network(ctx: CoreContext, cand: BackwardCandidate) -> Candid
     reversed, so it has the same max flow, and its units come out oriented
     the way _realize_pinned expands a t-pinned pair.
     """
-    spdag, partition, dag = ctx.spdag, ctx.partition, ctx.dag
+    spdag, dag, members = ctx.spdag, ctx.dag, ctx.members
     cy, cx = cand.comp_y, cand.comp_x
-    verts: set[int] = set(partition.members[cy]) | set(partition.members[cx])
+    verts: set[int] = set(members(cy)) | set(members(cx))
     # the span cy < c < cx: what a walk back from cx and a walk on from cy
     # both meet between the two levels
     lo, hi = dag.comp_level[cy], dag.comp_level[cx]
     span = set(band_walk(dag, cx, lo, hi, False))
     span.intersection_update(band_walk(dag, cy, lo, hi, True))
     for c in span:
-        verts.update(partition.members[c])
+        verts.update(members(c))
     rows = spdag.succ_all
     if cand.kind == "pinned_t":
         cy, cx, rows = cx, cy, spdag.pred_all
-    zy = frozenset(partition.members[cy])
-    zx = frozenset(partition.members[cx])
+    zy = frozenset(members(cy))
+    zx = frozenset(members(cx))
 
     # the span's steps, minus the zero steps inside one end cluster; rows
     # are sorted by (nb, w), so every list comes out sorted
@@ -458,7 +452,7 @@ def best_open_pair(ctx: CoreContext, hi: float = math.inf) -> BackwardCandidate 
     dag = ctx.dag
     level, idom_t = dag.comp_level, dag.idom_t
     best: tuple[int, int, int] | None = None
-    for cx in range(dag.count):
+    for cx in dag.nodes:
         if dag.idom_s.idom[cx] == -1:
             continue
         bound = hi - 1 if best is None else best[0] - 1
@@ -492,8 +486,11 @@ def pinned_candidate_pairs(ctx: CoreContext, hi: float = math.inf) -> list[Backw
     flow is at most either side's capacity.  The source side is cy, or cx
     for a pinned_t pair, which is built from t.  A singleton there caps a
     2-unit test at 1, and a singleton on either side caps a pinned_both
-    pair's 3-unit test at 2, so those pairs are dropped unlisted.
+    pair's 3-unit test at 2, so those pairs are dropped unlisted.  On a
+    zero-free core every cluster is a singleton, so none is listed.
     """
+    if ctx.partition is None:
+        return []
     dag, members = ctx.dag, ctx.partition.members
     out: list[BackwardCandidate] = []
     for cx in range(dag.count):
@@ -638,7 +635,7 @@ def _realize_open(ctx: CoreContext, cand: BackwardCandidate) -> list[int]:
     feeders = sorted([cx, *band_walk(dag, cx, 0, dag.comp_level[cx], False)])
     net = endpoint_net(
         [c for c in feeders if c not in banned],
-        lambda c: (b for b, _, _, _ in dag.succ[c]),
+        dag.succ.__getitem__,
         [(dag.source_comp, 1), (v, 1)],
         [(cx, 2)],
     )
@@ -648,8 +645,7 @@ def _realize_open(ctx: CoreContext, cand: BackwardCandidate) -> list[int]:
     s1 = next(u for u in res.unit_paths if u[0] == dag.source_comp)
     s2 = next(u for u in res.unit_paths if u[0] == v)
     comps = s1 + s2[::-1][1:] + tail[1:]
-    dirs = [True] * (len(s1) - 1) + [False] * (len(s2) - 1) + [True] * (len(tail) - 1)
-    return expand_comp_walk(partition, dag, comps, dirs, spdag.source, spdag.target)
+    return expand_comp_walk(partition, dag, comps, spdag.source, spdag.target)
 
 
 def _realize_pinned_both(
@@ -736,9 +732,7 @@ def _realize_pinned(
     unit = _trim_unit(cn, res.unit_paths[0])
     goal = dag.target_comp if forward else dag.source_comp
     route = cluster_route(dag, cy, goal, banned={cx}, forward=forward)
-    expanded = expand_comp_walk(
-        partition, dag, route, [forward] * (len(route) - 1), unit[0], end
-    )
+    expanded = expand_comp_walk(partition, dag, route, unit[0], end)
     at = 0
     while at + 1 < len(expanded) and spdag.level[expanded[at + 1]] == level_y:
         at += 1

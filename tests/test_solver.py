@@ -128,19 +128,18 @@ def both_scans_in_full(g, s, t):
 
 def test_zigzag_layer_only_below_the_detour(criterion_corpus, monkeypatch):
     # a zigzag is shortest + 2*delta long, where delta >= w_min, the least
-    # core arc weight, and it loses a tie, so the cluster DAG is built
+    # core arc weight, and it loses a tie, so the zigzag layer is built
     # exactly when the detour is missing or longer than shortest + 2*w_min,
-    # and the answer is that of both full scans
-
-
+    # and the answer is that of both full scans; core_context builds the
+    # layer for cores with and without zero edges alike
     builds = []
-    build = ntsp.solver.build_cluster_dag
+    build = ntsp.solver.core_context
 
-    def counted(spdag, partition):
+    def counted(labels, spdag):
         builds.append(spdag.source)
-        return build(spdag, partition)
+        return build(labels, spdag)
 
-    monkeypatch.setattr(ntsp.solver, "build_cluster_dag", counted)
+    monkeypatch.setattr(ntsp.solver, "core_context", counted)
     cases = [named_graph(name) for name in sorted(NAMED)] + list(criterion_corpus)
     cases += [case[:3] for scale in (1, 1 << 30) for case in weighted_grids(scale)]
     built = Counter()

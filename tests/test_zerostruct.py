@@ -6,10 +6,13 @@ import random
 
 import pytest
 
+import ntsp.solver
+from dagoracle import backward_feasible, cluster_topo_order, precedes
 from graphcases import named_graph, zgrid
 from ntsp.dominators import core_dominator_trees
 from ntsp.graph import build_graph, random_graph
-from ntsp.oracle import backward_feasible, cluster_topo_order, oracle_zero_clusters, precedes
+from ntsp.oracle import oracle_zero_clusters
+from ntsp.solver import next_to_shortest
 from ntsp.spdag import build_core
 from ntsp.sssp import distance_labels
 from ntsp.zerostruct import (
@@ -17,8 +20,11 @@ from ntsp.zerostruct import (
     ZeroPartition,
     build_cluster_dag,
     zero_clusters,
+    zero_free_dag,
     zero_path_within,
 )
+from ntsp.zigzag import CoreContext, _realize_open, best_open_pair
+from test_zigzag import weighted_grids
 
 
 def structures(g, s, t):
@@ -44,7 +50,8 @@ def test_zero_edge_at_source_is_severed():
     assert partition.members == ((0,), (1,), (2,))
     assert partition.severed == ((0, 1),)
     # the severed edge survives as a zero arc of the contraction
-    assert (1, 0, 0, 1) in dag.succ[0]
+    assert 1 in dag.succ[0] and dag.witness[0, 1] == (0, 1)
+    assert dag.comp_level[1] - dag.comp_level[0] == 0
 
 
 def test_no_zero_edges_means_singletons():
@@ -59,8 +66,8 @@ def test_quad0_cluster_dag():
     spdag, ts, tt, partition, dag = structures(g, s, t)
     assert dag.count == 3
     assert dag.source_comp == 0 and dag.target_comp == 2
-    assert [(b, w) for b, w, _, _ in dag.succ[0]] == [(1, 1)]
-    assert [(b, w) for b, w, _, _ in dag.succ[1]] == [(2, 1)]
+    assert [(b, dag.comp_level[b] - dag.comp_level[0]) for b in dag.succ[0]] == [(1, 1)]
+    assert [(b, dag.comp_level[b] - dag.comp_level[1]) for b in dag.succ[1]] == [(2, 1)]
     assert precedes(dag, 0, 2)
     assert not precedes(dag, 2, 1)
     assert not precedes(dag, 1, 1)
@@ -196,14 +203,16 @@ def test_cluster_dag_arc_properties():
         topo_index = {c: i for i, c in enumerate(cluster_topo_order(dag))}
         assert len(topo_index) == dag.count
         for a in range(dag.count):
-            for b, w, u, v in dag.succ[a]:
+            for b in dag.succ[a]:
                 # topological order certifies acyclicity
                 assert topo_index[a] < topo_index[b]
-                # every arc weight equals the level gap
-                assert dag.comp_level[b] - dag.comp_level[a] == w
                 # the witness is a real core edge joining the clusters
+                u, v = dag.witness[a, b]
                 assert partition.comp[u] == a and partition.comp[v] == b
                 assert g.edge_index(u, v) is not None
+                # every arc weight, its witness edge's, equals the level gap
+                w = g.ew[g.edge_index(u, v)]
+                assert dag.comp_level[b] - dag.comp_level[a] == w
                 if w == 0:
                     assert a == dag.idom_s.idom[b] or b == dag.idom_t.idom[a]
 
@@ -221,7 +230,7 @@ def test_precedes_matches_reachability():
             seen = set()
             stack = [a]
             while stack:
-                for b, _, _, _ in dag.succ[stack.pop()]:
+                for b in dag.succ[stack.pop()]:
                     if b not in seen:
                         seen.add(b)
                         stack.append(b)
@@ -240,3 +249,83 @@ def test_cyclic_contraction_raises():
     )
     with pytest.raises(ClusterCycleError):
         build_cluster_dag(spdag, partition)
+
+
+def zero_free_cores():
+    """Unit grids k <= 16 on both diagonals, the weighted grids at both
+    scales and 1,200 random graphs with no zero edge at n <= 60, each with
+    its core; only cores without a zero edge are kept."""
+    cases = []
+    for k in range(2, 17):
+        cases += [(zgrid(k, 0.0), 0, k * k - 1), (zgrid(k, 0.0), k - 1, k * k - k)]
+    cases += [case[:3] for scale in (1, 1 << 30) for case in weighted_grids(scale)]
+    rng = random.Random(20261026)
+    for _ in range(1200):
+        n = rng.randint(4, 60)
+        m = rng.randint(n - 1, min(3 * n, n * (n - 1) // 2))
+        s, t = rng.sample(range(n), 2)
+        g = random_graph(n, m, rng.choice([1, 3, 5]), 0.0, rng.randrange(1 << 32))
+        cases.append((g, s, t))
+    for g, s, t in cases:
+        labels = distance_labels(g, s, t)
+        spdag = build_core(g, labels)
+        if not spdag.zero_edges:
+            yield labels, spdag
+
+
+def test_zero_free_dag_is_the_contraction():
+    # the core itself against zero_clusters + build_cluster_dag on the same
+    # core: rows, both dominator trees and the open pair's realization agree
+    # through comp, which maps each core vertex to its singleton cluster
+    checked = opened = 0
+    for labels, spdag in zero_free_cores():
+        direct = zero_free_dag(spdag)
+        partition = zero_clusters(spdag)
+        dag = build_cluster_dag(spdag, partition)
+        comp = partition.comp
+        core = spdag.core_vertices()
+        assert dag.count == len(core) and direct.witness is None
+        ends = (comp[direct.source_comp], comp[direct.target_comp])
+        assert ends == (dag.source_comp, dag.target_comp)
+        for v in range(spdag.n):
+            if comp[v] == -1:
+                assert direct.succ[v] == direct.pred[v] == ()
+                assert direct.idom_s.idom[v] == direct.idom_t.idom[v] == -1
+                continue
+            c = comp[v]
+            assert [comp[b] for b in direct.succ[v]] == dag.succ[c]
+            assert [comp[a] for a in direct.pred[v]] == dag.pred[c]
+            assert direct.comp_level[v] == dag.comp_level[c]
+            for mine, theirs in ((direct.idom_s, dag.idom_s), (direct.idom_t, dag.idom_t)):
+                d = mine.idom[v]
+                assert (-1 if d == -1 else comp[d]) == theirs.idom[c]
+        plain = CoreContext(labels, spdag, None, direct)
+        contracted = CoreContext(labels, spdag, partition, dag)
+        got, want = best_open_pair(plain), best_open_pair(contracted)
+        if want is None:
+            assert got is None
+        else:
+            renamed = dataclasses.replace(got, comp_x=comp[got.comp_x], comp_y=comp[got.comp_y])
+            assert renamed == want
+            assert _realize_open(plain, got) == _realize_open(contracted, want)
+            opened += 1
+        checked += 1
+    # 1,276 zero-free cores, 81 of them with an open pair
+    assert checked >= 1200 and opened >= 75, (checked, opened)
+
+
+def test_zero_free_core_skips_the_contraction(monkeypatch):
+    calls = []
+    for name in ("zero_clusters", "build_cluster_dag"):
+        def spy(*args, _name=name, _fn=getattr(ntsp.solver, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(ntsp.solver, name, spy)
+    g = zgrid(8, 0.0)
+    res = next_to_shortest(g, 0, 63)
+    assert (res.kind, res.length) == ("zigzag", 16) and calls == []
+    # tIII's core has tight zero edges, and its zigzag is source-pinned
+    res = next_to_shortest(*named_graph("tIII"))
+    assert (res.kind, res.length) == ("zigzag", 5)
+    assert calls == ["zero_clusters", "build_cluster_dag"]

@@ -7,16 +7,11 @@ from collections import Counter
 
 import ntsp.dominators
 import ntsp.zigzag
+from dagoracle import backward_feasible, oracle_open_pair
 from graphcases import NAMED, corpus, named_graph, zgrid
 from ntsp.dominators import core_dominator_trees
 from ntsp.graph import build_graph, random_graph
-from ntsp.oracle import (
-    backward_feasible,
-    oracle_backward_pairs,
-    oracle_next_to_shortest,
-    oracle_open_pair,
-    path_length,
-)
+from ntsp.oracle import oracle_backward_pairs, oracle_next_to_shortest, path_length
 import ntsp.solver
 from ntsp.solver import build_core_context, next_to_shortest
 from ntsp.sssp import distance_labels
@@ -70,11 +65,11 @@ def capacity_capped(ctx, cand):
     """Whether a singleton cluster caps cand's flow test below its quota:
     the source side (cy, or cx for a pinned_t pair) for a 2-unit test,
     either side for a pinned_both pair's 3-unit test."""
-    members = ctx.partition.members
+    members = ctx.members
     if cand.kind == "pinned_both":
-        return min(len(members[cand.comp_x]), len(members[cand.comp_y])) == 1
+        return min(len(members(cand.comp_x)), len(members(cand.comp_y))) == 1
     source_side = cand.comp_y if cand.kind == "pinned_s" else cand.comp_x
-    return len(members[source_side]) == 1
+    return len(members(source_side)) == 1
 
 
 def test_pent_open_pair():
@@ -82,9 +77,10 @@ def test_pent_open_pair():
     cand = best_open_pair(ctx)
     assert cand is not None
     assert cand.kind == "open" and cand.delta == 1
-    # clusters are singletons here, so components name the vertices directly
-    assert ctx.partition.members[cand.comp_x] == (2,)
-    assert ctx.partition.members[cand.comp_y] == (1,)
+    # the core has no zero edge, so clusters are its vertices
+    assert ctx.partition is None
+    assert ctx.members(cand.comp_x) == (2,)
+    assert ctx.members(cand.comp_y) == (1,)
 
 
 def test_pent_realization():
