@@ -78,24 +78,31 @@ def _accept(g: Graph, labels: DistLabels, path: list[int], goal: int) -> bool:
 
 
 def _tight_descent(
-    g: Graph, labels: DistLabels, start: int, banned: set[int]
+    g: Graph, labels: DistLabels, start: int, banned: list[int]
 ) -> list[int] | None:
     """Fewest-hop walk start to t along edges that spend to_t exactly,
-    avoiding banned.  A breadth-first search over the CSR rows in neighbour
-    order, so among equally short walks the smallest ids win, as in
-    sssp.bfs_path."""
+    avoiding banned, or None when start is banned or no such walk exists.
+    A breadth-first search over the CSR rows in neighbour order, so among
+    equally short walks the smallest ids win, as in sssp.bfs_path.  One
+    n-length list holds every mark: -1 unseen, else the BFS parent, with
+    each banned vertex pre-marked as its own parent."""
+    prev = [-1] * g.n
+    for v in banned:
+        prev[v] = v
+    if prev[start] != -1:
+        return None
     goal = labels.target
     if start == goal:
         return [start]
     to_t = labels.to_t
     off, nbr, wt = g.off, g.nbr, g.wt
-    prev = {start: start}
+    prev[start] = start
     queue = [start]
     for x in queue:
         tx = to_t[x]
         for i in range(off[x], off[x + 1]):
             y = nbr[i]
-            if tx != wt[i] + to_t[y] or y in prev or y in banned:
+            if prev[y] != -1 or tx != wt[i] + to_t[y]:
                 continue
             prev[y] = x
             if y == goal:
@@ -109,10 +116,7 @@ def _direct(g: Graph, labels: DistLabels, parent: list[int], x: int, y: int) -> 
     the walk: from_s[x] + w + to_t[y] long, or None when y is on the walk or
     no such descent exists."""
     p_x = tree_path(parent, labels.source, x)
-    p_set = set(p_x)
-    if y in p_set:
-        return None
-    desc = _tight_descent(g, labels, y, p_set)
+    desc = _tight_descent(g, labels, y, p_x)
     return None if desc is None else p_x + desc
 
 

@@ -13,10 +13,21 @@ arc of the core.  A tie goes to the detour, so the zigzag layer (zero
 clusters, cluster DAG, candidate walk) is built only when the detour is
 missing or longer than shortest + 2*w_min, and then walks only the
 candidates strictly shorter than the detour.  w_min is read only when the
-detour exists.  A core without zero edges skips the contraction: its every
-cluster is one vertex, so the layer walks the core itself.  No stage builds
-a dominator tree of the core: the zero clusters come from block DFSs over
-the zero edges, and dominators are taken on the cluster DAG only.
+detour exists.
+
+On top of that gate the layer is built only when the core holds two
+independent cycles, |E_core| > |V_core| (cyclomatic number at least 2).
+The core is the chain of blocks on the s-t block path, and with at most one
+cycle each of its blocks is a bridge or a simple cycle.  An interior vertex
+of a cycle block with entry a and exit b lies on a simple shortest s-t path,
+which crosses the block along that vertex's a-b arc, so both arcs are
+shortest.  Every simple s-t path inside such a core is then shortest, and a
+zigzag, shortest + 2*delta long with delta > 0, cannot exist there.
+
+A core without zero edges skips the contraction: its every cluster is one
+vertex, so the layer walks the core itself.  No stage builds a dominator
+tree of the core: the zero clusters come from block DFSs over the zero
+edges, and dominators are taken on the cluster DAG only.
 """
 from __future__ import annotations
 
@@ -97,12 +108,15 @@ def next_to_shortest(g: Graph, s: int, t: int) -> NtspResult:
     pick = None if det is None else (*det, "detour")
     below = math.inf if det is None else det[0]
     # a zigzag is at least shortest + 2 * w_min long, w_min the least core
-    # arc weight, and loses a tie; w_min is read only when a detour exists
+    # arc weight, and loses a tie; w_min is read only when a detour exists.
+    # A core with fewer than two independent cycles, |E| <= |V|, holds no
+    # zigzag; its vertex count is read only past the w_min gate
     arc_weights = (w for _, _, w in spdag.arcs)
     if det is None or below - labels.shortest > 2 * min(arc_weights, default=math.inf):
-        zig = zigzag_shortest(core_context(labels, spdag), below)
-        if zig is not None:
-            pick = (*zig, "zigzag")
+        if len(spdag.arcs) + len(spdag.zero_edges) > spdag.in_core.count(True):
+            zig = zigzag_shortest(core_context(labels, spdag), below)
+            if zig is not None:
+                pick = (*zig, "zigzag")
     if pick is None:
         return NtspResult(status="none", shortest=labels.shortest)
     return NtspResult(

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import ntsp.solver
-from graphcases import EXPECTED, NAMED, named_graph
+from graphcases import EXPECTED, NAMED, named_graph, zgrid
 from ntsp.detour import anchor_array, shortest_detour
 from ntsp.graph import DisconnectedGraphError, GraphError, build_graph, random_graph
 from ntsp.oracle import oracle_next_to_shortest, path_length
@@ -23,6 +23,7 @@ from ntsp.solver import (
     next_to_shortest,
     validate_query,
 )
+from ntsp.sssp import distance_labels
 from ntsp.zigzag import zigzag_shortest
 from test_zigzag import weighted_grids
 
@@ -109,29 +110,39 @@ def test_tie_prefers_detour():
     assert (res.status, res.kind, res.length) == ("found", "detour", 3)
 
 
+def core_cycles(spdag):
+    """The core's cyclomatic number |E| - |V| + 1; the core is connected."""
+    return len(spdag.arcs) + len(spdag.zero_edges) - sum(spdag.in_core) + 1
+
+
 def both_scans_in_full(g, s, t):
     """The detour and the unbounded zigzag scan, each run on every query,
-    ties to the detour: (kind, length, path) or None, the detour, and the
-    least core arc weight (inf when the core has no arc)."""
+    ties to the detour: (kind, length, path) or None, the detour, the least
+    core arc weight (inf when the core has no arc) and the core's
+    cyclomatic number."""
     labels, parent, parent_edge = distance_stage(g, s, t)
     ctx = build_core_context(g, labels)
     zig = zigzag_shortest(ctx)
     anchor = anchor_array(g, ctx.spdag, parent, parent_edge)
     det = shortest_detour(g, labels, ctx.spdag, parent, anchor)
     w_min = min((w for _, _, w in ctx.spdag.arcs), default=math.inf)
+    cycles = core_cycles(ctx.spdag)
+    found = None if det is None else ("detour", det[0], tuple(det[1]))
     if zig is not None:
         assert zig[0] >= labels.shortest + 2 * w_min, (g.edges, s, t)
+        assert cycles >= 2, (g.edges, s, t)
         if det is None or zig[0] < det[0]:
-            return ("zigzag", zig[0], tuple(zig[1])), det, w_min
-    return (None if det is None else ("detour", det[0], tuple(det[1]))), det, w_min
+            found = ("zigzag", zig[0], tuple(zig[1]))
+    return found, det, w_min, cycles
 
 
 def test_zigzag_layer_only_below_the_detour(criterion_corpus, monkeypatch):
     # a zigzag is shortest + 2*delta long, where delta >= w_min, the least
-    # core arc weight, and it loses a tie, so the zigzag layer is built
-    # exactly when the detour is missing or longer than shortest + 2*w_min,
-    # and the answer is that of both full scans; core_context builds the
-    # layer for cores with and without zero edges alike
+    # core arc weight, and it loses a tie; it also needs a core with two
+    # independent cycles.  So the zigzag layer is built exactly when the
+    # detour is missing or longer than shortest + 2*w_min and |E| > |V| in
+    # the core, and the answer is that of both full scans; core_context
+    # builds the layer for cores with and without zero edges alike
     builds = []
     build = ntsp.solver.core_context
 
@@ -142,18 +153,62 @@ def test_zigzag_layer_only_below_the_detour(criterion_corpus, monkeypatch):
     monkeypatch.setattr(ntsp.solver, "core_context", counted)
     cases = [named_graph(name) for name in sorted(NAMED)] + list(criterion_corpus)
     cases += [case[:3] for scale in (1, 1 << 30) for case in weighted_grids(scale)]
-    built = Counter()
+    seen = Counter()
     for g, s, t in cases:
-        want, det, w_min = both_scans_in_full(g, s, t)
+        want, det, w_min, cycles = both_scans_in_full(g, s, t)
         builds.clear()
         res = next_to_shortest(g, s, t)
         got = None if res.status == "none" else (res.kind, res.length, res.path)
         assert got == want, (g.edges, s, t)
         below = det is None or res.shortest + 2 * w_min < det[0]
-        assert builds == ([s] if below else []), (g.edges, s, t)
-        built[below] += 1
-    # of the 5,450 queries 1,326 build the zigzag layer and 4,124 skip it
-    assert built[True] >= 1200 and built[False] >= 4000, built
+        assert builds == ([s] if below and cycles >= 2 else []), (g.edges, s, t)
+        seen[below, cycles >= 2] += 1
+    # of the 5,450 queries 4,124 end at the detour's w_min gate; of the
+    # 1,326 below it, 43 cores hold two independent cycles and build the
+    # layer, and 1,283 hold at most one and skip it
+    assert seen[True, True] >= 40 and seen[True, False] >= 1200, seen
+    assert seen[False, True] + seen[False, False] >= 4000, seen
+
+
+def premise_cases():
+    """Random graphs n = 10..16 with m = n-1..3n, weights 0..5 and five
+    zero-probs, the weighted grids at unit scale, and zgrids k <= 6 with
+    seeded query pairs."""
+    rng = random.Random(20261021)
+    for _ in range(8000):
+        n = rng.randint(10, 16)
+        m = rng.randint(n - 1, 3 * n)
+        zp = rng.choice([0.0, 0.3, 0.5, 0.7, 0.9])
+        seed = rng.randrange(1 << 32)
+        s, t = rng.sample(range(n), 2)
+        yield random_graph(n, m, 5, zp, seed), s, t
+    for case in weighted_grids(1):
+        yield case[:3]
+    for k in range(3, 7):
+        for p in (0.2, 0.5, 0.8):
+            g = zgrid(k, p, seed=k)
+            for _ in range(10):
+                yield (g, *rng.sample(range(k * k), 2))
+
+
+def test_no_zigzag_without_two_independent_cycles():
+    # the solver builds the zigzag layer only for a core with |E| > |V|:
+    # with at most one cycle every block of the core is a bridge or a
+    # simple cycle whose two arcs are both shortest, so every simple s-t
+    # path in the core is shortest.  Here the layer runs ungated.
+    checked = Counter()
+    for g, s, t in premise_cases():
+        labels = distance_labels(g, s, t)
+        ctx = build_core_context(g, labels)
+        cyclic = core_cycles(ctx.spdag) >= 2
+        zig = zigzag_shortest(ctx, math.inf)
+        if not cyclic:
+            assert zig is None, (g.edges, s, t)
+        checked[cyclic, zig is not None] += 1
+    # of the 8,000 random queries, 220 grids and 120 zgrid pairs, 4,429
+    # cores hold at most one cycle; 180 of the others give a zigzag
+    assert checked[False, False] >= 4000, checked
+    assert checked[True, True] >= 150, checked
 
 
 def test_none_when_every_path_is_shortest():
