@@ -20,12 +20,14 @@ from .sssp import INF, DistLabels, path_length, tree_path
 from .zigzag import RealizationExhausted, disjoint_st_pair, strict_join
 
 
-def anchor_array(
-    g: Graph, spdag: SpDag, parent: list[int], parent_edge: list[int]
-) -> list[int]:
+def anchor_array(g: Graph, spdag: SpDag, parent: list[int]) -> list[int]:
     """Anchor of every vertex: itself when its tree parent edge is a core
-    edge (or it is s), otherwise the anchor of its parent."""
-    core_edge = spdag.core_edge
+    edge (or it is s), otherwise the anchor of its parent.
+
+    The parent edge is read from its two ends: a tree edge (p, v) is tight
+    exactly when v is, and a core edge is a tight edge with both ends in
+    the core, so it is a core edge exactly when p and v are core vertices."""
+    in_core = spdag.in_core
     anch = [-1] * g.n
     anch[spdag.source] = spdag.source
     for v0 in range(g.n):
@@ -34,7 +36,7 @@ def anchor_array(
         chain: list[int] = []
         v = v0
         while anch[v] == -1:
-            if core_edge[parent_edge[v]]:
+            if in_core[v] and in_core[parent[v]]:
                 anch[v] = v
             else:
                 chain.append(v)

@@ -67,16 +67,16 @@ def validate_query(g: Graph, s: int, t: int) -> None:
         raise QueryError("query endpoints must differ")
 
 
-def distance_stage(g: Graph, s: int, t: int) -> tuple[DistLabels, list[int], list[int]]:
-    """Both distance labelings plus the s-side tree (parent, parent_edge),
-    taken from the same pass as from_s.  A vertex that pass leaves
+def distance_stage(g: Graph, s: int, t: int) -> tuple[DistLabels, list[int]]:
+    """Both distance labelings plus the s-side tree's parent array, taken
+    from the same pass as from_s.  A vertex that pass leaves
     unreached raises DisconnectedGraphError: every later stage needs it."""
-    from_s, parent, parent_edge = shortest_path_tree(g, s)
+    from_s, parent = shortest_path_tree(g, s)
     if INF in from_s:
         raise DisconnectedGraphError(f"vertex {from_s.index(INF)} is not reachable from {s}")
     to_t = dijkstra(g, t)
     labels = DistLabels(source=s, target=t, from_s=from_s, to_t=to_t, shortest=from_s[t])
-    return labels, parent, parent_edge
+    return labels, parent
 
 
 def structure_stage(g: Graph, labels: DistLabels) -> tuple[SpDag, ZeroPartition]:
@@ -101,10 +101,10 @@ def build_core_context(g: Graph, labels: DistLabels) -> CoreContext:
 
 def next_to_shortest(g: Graph, s: int, t: int) -> NtspResult:
     validate_query(g, s, t)
-    labels, parent, parent_edge = distance_stage(g, s, t)
+    labels, parent = distance_stage(g, s, t)
     spdag = build_core(g, labels)
-    det = shortest_detour(g, labels, spdag, parent, anchor_array(g, spdag, parent, parent_edge))
-    del parent, parent_edge  # only the detour reads the s-side tree
+    det = shortest_detour(g, labels, spdag, parent, anchor_array(g, spdag, parent))
+    del parent  # only the detour reads the s-side tree
     pick = None if det is None else (*det, "detour")
     below = math.inf if det is None else det[0]
     # a zigzag is at least shortest + 2 * w_min long, w_min the least core

@@ -8,18 +8,21 @@ rows, and each has two forms that return identical arrays.
 The bucket form is Dial's monotone bucket queue: a dict from distance to a
 list of vertex ids, plus a heap holding each open distance once, so the
 heap works per distinct distance instead of per relaxation.  A relaxation
-to the distance being scanned (a weight-0 edge) joins the current level; an
-entry whose vertex has since moved closer is skipped by `dist[u] != d`.
-The heap form pushes one int key d * n + v per relaxation, which orders
-like (d, v).
+to the distance being scanned (a weight-0 edge) joins the current level.  A
+vertex that moves closer leaves a stale entry in its old bucket: the
+distance pass skips it by `dist[u] != d`, and the tree drops a level's
+stale entries when the level opens, before it sorts.  The heap form pushes
+one int key d * n + v per relaxation, which orders like (d, v).
 
 The tree must settle in (distance, id) order in both forms, because its
 parent rule depends on it.  Inside one level that order is a min-id-first
 search: every vertex reached by a positive edge is already in the level's
 bucket when the level opens, and a vertex first reached through a zero edge
-joins during the scan.  So the bucket tree sorts the level once when it
-opens, keeps the zero-edge arrivals in a small heap, and each step settles
-the smaller of the two heads.  The distance pass needs no settle order and
+joins during the scan.  So the bucket tree keeps the level's live entries
+(`dist[u] == d`) and sorts them once when the level opens, keeps the
+zero-edge arrivals in a small heap, and each step settles the smaller of
+the two heads; a kept entry is already at the least open distance, so it
+stays live through the scan.  The distance pass needs no settle order and
 scans the bucket as it grows.
 
 Buckets pay a dict entry and a heap push per distinct distance, so they lose
@@ -48,15 +51,14 @@ def uses_buckets(g: Graph) -> bool:
     return BUCKET_SPAN * g.max_weight <= g.n
 
 
-def shortest_path_tree(g: Graph, root: int) -> tuple[list[int], list[int], list[int]]:
-    """Distances from root plus a shortest-path tree: (dist, parent, parent_edge).
+def shortest_path_tree(g: Graph, root: int) -> tuple[list[int], list[int]]:
+    """Distances from root plus a shortest-path tree: (dist, parent).
 
     One Dijkstra pass.  Vertices settle in (distance, id) order, and each
     takes its smallest-id settled tight neighbour as parent: a relaxation to
     an equal distance keeps the smaller parent id, and a settled vertex is
     never re-parented, so the chain stays acyclic across zero-weight ties.
-    parent_edge[v] is the index of the edge {parent[v], v}; both arrays hold
-    -1 at the root.  Weights are nonnegative ints.
+    parent holds -1 at the root.  Weights are nonnegative ints.
     """
     if uses_buckets(g):
         return _tree_by_buckets(g, root)
@@ -70,12 +72,11 @@ def dijkstra(g: Graph, root: int) -> list[int]:
     return _dist_by_heap(g, root)
 
 
-def _tree_by_heap(g: Graph, root: int) -> tuple[list[int], list[int], list[int]]:
+def _tree_by_heap(g: Graph, root: int) -> tuple[list[int], list[int]]:
     n = g.n
-    off, nbr, wt, eid = g.off, g.nbr, g.wt, g.eid
+    off, nbr, wt = g.off, g.nbr, g.wt
     dist: list[int | float] = [INF] * n
     parent = [-1] * n
-    parent_edge = [-1] * n
     done = bytearray(n)
     dist[root] = 0
     heap = [root]
@@ -93,21 +94,18 @@ def _tree_by_heap(g: Graph, root: int) -> tuple[list[int], list[int], list[int]]
             if nd < dv:
                 dist[v] = nd
                 parent[v] = u
-                parent_edge[v] = eid[i]
                 push(heap, nd * n + v)
             elif nd == dv and u < parent[v] and not done[v]:
                 parent[v] = u
-                parent_edge[v] = eid[i]
     # connected input: every vertex is reached
-    return dist, parent, parent_edge  # type: ignore[return-value]
+    return dist, parent  # type: ignore[return-value]
 
 
-def _tree_by_buckets(g: Graph, root: int) -> tuple[list[int], list[int], list[int]]:
+def _tree_by_buckets(g: Graph, root: int) -> tuple[list[int], list[int]]:
     n = g.n
-    off, nbr, wt, eid = g.off, g.nbr, g.wt, g.eid
+    off, nbr, wt = g.off, g.nbr, g.wt
     dist: list[int | float] = [INF] * n
     parent = [-1] * n
-    parent_edge = [-1] * n
     done = bytearray(n)
     dist[root] = 0
     buckets = {0: [root]}
@@ -115,7 +113,7 @@ def _tree_by_buckets(g: Graph, root: int) -> tuple[list[int], list[int], list[in
     pop, push = heapq.heappop, heapq.heappush
     while levels:
         d = pop(levels)
-        level = buckets.pop(d)
+        level = [u for u in buckets.pop(d) if dist[u] == d]
         level.sort()
         level.append(n)  # sentinel above every id
         zero: list[int] = []  # heap of the level's zero-edge arrivals
@@ -128,8 +126,6 @@ def _tree_by_buckets(g: Graph, root: int) -> tuple[list[int], list[int], list[in
                 break
             else:
                 j += 1
-                if dist[u] != d:
-                    continue
             done[u] = 1
             for i in range(off[u], off[u + 1]):
                 v = nbr[i]
@@ -138,7 +134,6 @@ def _tree_by_buckets(g: Graph, root: int) -> tuple[list[int], list[int], list[in
                 if nd < dv:
                     dist[v] = nd
                     parent[v] = u
-                    parent_edge[v] = eid[i]
                     if nd == d:
                         push(zero, v)
                     else:
@@ -150,8 +145,7 @@ def _tree_by_buckets(g: Graph, root: int) -> tuple[list[int], list[int], list[in
                             b.append(v)
                 elif nd == dv and u < parent[v] and not done[v]:
                     parent[v] = u
-                    parent_edge[v] = eid[i]
-    return dist, parent, parent_edge  # type: ignore[return-value]
+    return dist, parent  # type: ignore[return-value]
 
 
 def _dist_by_heap(g: Graph, root: int) -> list[int]:

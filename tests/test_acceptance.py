@@ -311,10 +311,10 @@ def interleaved_best(small, big, passes):
     return attempts, worst
 
 
-def run_pipeline(g, labels, parent, parent_edge) -> None:
+def run_pipeline(g, labels, parent) -> None:
     # the structure and crossing-scan layers, without realization
     spdag, _ = structure_stage(g, labels)
-    detour_candidates(g, labels, spdag, anchor_array(g, spdag, parent, parent_edge))
+    detour_candidates(g, labels, spdag, anchor_array(g, spdag, parent))
 
 
 def test_criterion_6_near_linear_scaling():
@@ -323,8 +323,8 @@ def test_criterion_6_near_linear_scaling():
     worst = 0.0
     for n in sizes:
         g = random_graph(n, 4 * n, 8, 0.2, seed=1)
-        labels, parent, parent_edge = distance_stage(g, 0, n - 1)  # sssp runs untimed
-        runs.append(partial(run_pipeline, g, labels, parent, parent_edge))
+        labels, parent = distance_stage(g, 0, n - 1)  # sssp runs untimed
+        runs.append(partial(run_pipeline, g, labels, parent))
         worst = max(worst, timed(runs[-1]))  # warmup
     # every raw run stays under the hard cap regardless
     attempts, slowest = interleaved_best(*runs, lambda small, big: big / small <= 2.6)
@@ -491,14 +491,14 @@ def test_criterion_9_work_per_size(work_families):
 # family: a few percent above the readings, small -> large, noted after
 # each (Python 3.11); lower a ceiling when a change shrinks its family
 QUERY_PEAK_CEILINGS = {
-    "unit grid k=32->128": 285,  # 246 -> 269
-    "zgrid p=0.3 k=32->128": 355,  # 333 -> 326
-    "random zp=0.2 n=4096->16384": 70,  # 65 -> 65
-    "random W=4e9 n=4096->16384": 52,  # 48 -> 49
-    "chain-plus-fan L=500->2000": 415,  # 370 -> 390
-    "zero-heavy random zp=0.9 n=4000->16000": 190,  # 170 -> 175
+    "unit grid k=32->128": 240,  # 215 -> 227
+    "zgrid p=0.3 k=32->128": 315,  # 300 -> 282
+    "random zp=0.2 n=4096->16384": 48,  # 45 -> 45
+    "random W=4e9 n=4096->16384": 44,  # 40 -> 41
+    "chain-plus-fan L=500->2000": 370,  # 333 -> 349
+    "zero-heavy random zp=0.9 n=4000->16000": 125,  # 117 -> 118
 }
-PARSE_PEAK_CEILING = 230  # bytes per edge at m = 32,768; read 209
+PARSE_PEAK_CEILING = 170  # bytes per edge at m = 32,768; read 159
 
 
 def test_criterion_10_memory_per_size(work_families):

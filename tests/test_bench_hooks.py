@@ -40,8 +40,8 @@ def test_counted_results_keep_their_shape():
     ctx = build_core_context(g, distance_labels(g, s, t))
     assert isinstance(pinned_candidate_pairs(ctx), list)
     # perfbench counts the detour scan by len(); a None or tuple breaks --trace 1
-    labels, parent, parent_edge = distance_stage(g, s, t)
-    anchor = anchor_array(g, ctx.spdag, parent, parent_edge)
+    labels, parent = distance_stage(g, s, t)
+    anchor = anchor_array(g, ctx.spdag, parent)
     cands = detour_candidates(g, labels, ctx.spdag, anchor)
     assert isinstance(cands, list)
     fields = {f.name for f in dataclasses.fields(FlowOutcome)}

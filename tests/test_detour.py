@@ -12,9 +12,9 @@ from ntsp.spdag import build_core
 
 
 def pieces(g, s, t):
-    labels, parent, parent_edge = distance_stage(g, s, t)
+    labels, parent = distance_stage(g, s, t)
     spdag = build_core(g, labels)
-    anchor = anchor_array(g, spdag, parent, parent_edge)
+    anchor = anchor_array(g, spdag, parent)
     return labels, spdag, parent, anchor
 
 

@@ -120,10 +120,10 @@ def both_scans_in_full(g, s, t):
     ties to the detour: (kind, length, path) or None, the detour, the least
     core arc weight (inf when the core has no arc) and the core's
     cyclomatic number."""
-    labels, parent, parent_edge = distance_stage(g, s, t)
+    labels, parent = distance_stage(g, s, t)
     ctx = build_core_context(g, labels)
     zig = zigzag_shortest(ctx)
-    anchor = anchor_array(g, ctx.spdag, parent, parent_edge)
+    anchor = anchor_array(g, ctx.spdag, parent)
     det = shortest_detour(g, labels, ctx.spdag, parent, anchor)
     w_min = min((w for _, _, w in ctx.spdag.arcs), default=math.inf)
     cycles = core_cycles(ctx.spdag)

@@ -81,7 +81,7 @@ def test_tree_parents_are_tight_and_acyclic():
         m = rng.randint(n - 1, n * (n - 1) // 2)
         g = random_graph(n, m, 3, 0.5, seed=rng.randrange(1 << 20))
         root = rng.randrange(n)
-        dist, parent, _ = shortest_path_tree(g, root)
+        dist, parent = shortest_path_tree(g, root)
         assert parent[root] == -1
         for v in range(n):
             if v == root:
@@ -117,13 +117,10 @@ def tree_instances():
 def test_one_pass_tree_and_scan_match_references():
     checked = ties = 0
     for g, s, t in tree_instances():
-        labels, parent, parent_edge = distance_stage(g, s, t)
+        labels, parent = distance_stage(g, s, t)
         assert parent == oracle_shortest_path_tree(g, labels.from_s, s), (g, s)
-        for v in range(g.n):
-            if v != s:
-                assert parent_edge[v] == g.edge_index(parent[v], v)
         spdag = build_core(g, labels)
-        anchor = anchor_array(g, spdag, parent, parent_edge)
+        anchor = anchor_array(g, spdag, parent)
         full = oracle_detour_candidates(g, labels, spdag, parent, anchor)
         assert detour_candidates(g, labels, spdag, anchor) == full[:1], (g, s, t)
         checked += 1
@@ -165,7 +162,7 @@ def tree_in_bucket_list_order(g, root):
 def test_zero_tie_level_settles_by_distance_then_id():
     g, root = zero_tie_level()
     assert uses_buckets(g)
-    dist, parent, _ = shortest_path_tree(g, root)
+    dist, parent = shortest_path_tree(g, root)
     assert parent == oracle_shortest_path_tree(g, dist, root) == [-1, 6, 1, 4, 0, 2, 0, 5]
     for _, tree in BOTH_FORMS:
         assert tree(g, root)[1] == parent
@@ -188,7 +185,7 @@ def test_both_forms_match_references_on_large_weights():
         want = bellman_ford(g, root)
         for dist_pass, tree in (*BOTH_FORMS, (dijkstra, shortest_path_tree)):
             assert dist_pass(g, root) == want, (g, root)
-            dist, parent, _ = tree(g, root)
+            dist, parent = tree(g, root)
             assert dist == want
             assert parent == oracle_shortest_path_tree(g, dist, root), (g, root)
 
@@ -212,3 +209,18 @@ def test_forms_agree_on_both_sides_of_the_switch():
         assert bucket_dist(g, root) == heap_dist(g, root) == dijkstra(g, root) == tree[0]
         sides[uses_buckets(g)] += 1
     assert min(sides.values()) >= 100, sides
+
+
+def test_forms_agree_where_most_bucket_entries_go_stale():
+    # at n=8,192 with weights up to 8 about half the bucket entries are
+    # overtaken before their level opens (8,509 of the distance pass's
+    # 16,701 from root 0 of seed 1's graph), a regime the small graphs
+    # above barely reach
+    (_, heap_tree), (_, bucket_tree) = BOTH_FORMS
+    for seed in (1, 2):
+        g = random_graph(8192, 32768, 8, 0.2, seed)
+        assert uses_buckets(g)
+        for root in (0, 4095, 8191):
+            dist, parent = bucket_tree(g, root)
+            assert heap_tree(g, root) == (dist, parent), (seed, root)
+            assert parent == oracle_shortest_path_tree(g, dist, root), (seed, root)
